@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
-"""Benchmark: batched model evaluation — vectorized vs scalar reference.
+"""Benchmark: batched model evaluation — vectorized vs scalar oracle.
 
-Acceptance check for the batched (structure-of-arrays) model backend on
+Acceptance check for the batched (structure-of-arrays) model kernel on
 a >= 10k-configuration design grid:
 
-* ``AnalyticalModel.predict_batch`` with ``backend="batch"`` must be at
-  least **5x faster** than the retained scalar prediction loop over the
-  full grid (fresh model + ``ModelCache`` per run, best of three);
+* ``AnalyticalModel.predict_batch`` must be at least **5x faster** than
+  the scalar oracle -- a ``model.predict`` loop over the same configs
+  (``tests/reference/model.py``) -- over the full grid (fresh model +
+  ``ModelCache`` per run, best of three);
 * the results must be **bitwise identical**: every CPI stack, window
   breakdown, activity vector, power stack and energy/EDP/ED2P scalar,
-  plus the set of :class:`ModelCache` keys both backends leave behind,
-  and the DesignPoint stream a :class:`SweepEngine` produces from each
-  backend over a grid slice.
+  plus the set of :class:`ModelCache` keys both leave behind, and the
+  DesignPoint stream a :class:`SweepEngine` produces from each over a
+  grid slice.
 
 Results land in ``benchmarks/results/E34_model_batch.txt`` and the
 machine-readable perf-trajectory record in ``BENCH_model_batch.json``
@@ -39,12 +40,19 @@ from repro.profiler import SamplingConfig, profile_application
 from repro.workloads import generate_trace, make_workload
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
+from tests.reference.model import ScalarModel, predict_batch_scalar
+
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 WORKLOAD = "gcc"
 INSTRUCTIONS = 20_000
 MICRO_TRACE = 1_000
 WINDOW = 4_000
 REQUIRED_SPEEDUP = 5.0
+
+#: How each timed side evaluates a batch.
+EVALUATE = {"scalar": predict_batch_scalar,
+            "batch": AnalyticalModel.predict_batch}
 
 #: Benchmark grid (Table 6.3 axes widened with L2/MSHR and the DVFS
 #: frequencies of Table 7.2): 3*5*3*4*7*3*3 = 11,340 configurations.
@@ -87,8 +95,8 @@ def points_identical(a, b) -> bool:
                     for pa, pb in zip(a, b)))
 
 
-def timed_run(profile, configs, backend: str, repeats: int):
-    """Best-of-N wall time for one backend; returns (seconds, results).
+def timed_run(profile, configs, side: str, repeats: int):
+    """Best-of-N wall time for one side; returns (seconds, results).
 
     Each repeat evaluates on a *fresh* model + cache (cold memo, the
     sweep-engine situation) with a collected heap, and drops its
@@ -101,7 +109,7 @@ def timed_run(profile, configs, backend: str, repeats: int):
         model = AnalyticalModel(cache=ModelCache())
         gc.collect()
         t0 = time.perf_counter()
-        results = model.predict_batch(profile, configs, backend=backend)
+        results = EVALUATE[side](model, profile, configs)
         elapsed = time.perf_counter() - t0
         best = min(best, elapsed)
         if kept is None:
@@ -114,7 +122,7 @@ def timed_run(profile, configs, backend: str, repeats: int):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeats", type=int, default=3,
-                        help="timing repeats per backend (best counts)")
+                        help="timing repeats per side (best counts)")
     args = parser.parse_args()
 
     trace = generate_trace(make_workload(WORKLOAD),
@@ -128,7 +136,7 @@ def main() -> int:
         f"E34: batched vs scalar model, {WORKLOAD} x "
         f"{INSTRUCTIONS} instructions (micro-trace {MICRO_TRACE} / "
         f"window {WINDOW}), {len(configs)} configurations",
-        f"{'backend':>8s} {'seconds':>9s}  (best of {args.repeats})",
+        f"{'side':>8s} {'seconds':>9s}  (best of {args.repeats})",
     ]
 
     t_scalar, scalar_results = timed_run(profile, configs, "scalar",
@@ -142,21 +150,20 @@ def main() -> int:
     identical = results_identical(scalar_results, batch_results)
     del scalar_results, batch_results
 
-    # Both backends must leave a ModelCache answering the same queries.
+    # Both sides must leave a ModelCache answering the same queries.
     scalar_model = AnalyticalModel(cache=ModelCache())
     batch_model = AnalyticalModel(cache=ModelCache())
     probe = configs[::97]
-    scalar_model.predict_batch(profile, probe, backend="scalar")
-    batch_model.predict_batch(profile, probe, backend="batch")
+    predict_batch_scalar(scalar_model, profile, probe)
+    batch_model.predict_batch(profile, probe)
     caches_equal = (set(scalar_model.cache._memo)
                     == set(batch_model.cache._memo))
 
     # And a SweepEngine must stream identical DesignPoints either way.
     slice_configs = configs[::23]
-    scalar_points = SweepEngine(workers=1, backend="scalar").sweep(
+    scalar_points = SweepEngine(model=ScalarModel(), workers=1).sweep(
         [profile], slice_configs)[WORKLOAD]
-    batch_points = SweepEngine(workers=1, batch_size=64,
-                               backend="batch").sweep(
+    batch_points = SweepEngine(workers=1, batch_size=64).sweep(
         [profile], slice_configs)[WORKLOAD]
     sweep_equal = points_identical(scalar_points, batch_points)
 
@@ -205,7 +212,7 @@ def main() -> int:
         json.dump(record, f, indent=2)
 
     if not (identical and caches_equal and sweep_equal):
-        print("FAIL: backends diverged", file=sys.stderr)
+        print("FAIL: kernel diverged from the oracle", file=sys.stderr)
         return 1
     if speedup < REQUIRED_SPEEDUP:
         print(f"FAIL: speedup {speedup:.2f}x < "

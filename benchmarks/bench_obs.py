@@ -61,7 +61,7 @@ GRID_AXES = {
 def baseline_sweep(model, profile, configs):
     """The pre-instrumentation serial loop: chunked ``predict_batch``.
 
-    Mirrors ``SweepEngine._iter_serial`` exactly -- same chunking, same
+    Mirrors the engine's in-process batch loop exactly -- same chunking, same
     DesignPoint construction, same per-run ModelCache -- minus every
     telemetry call site.  This is the floor the instrumented engine is
     gated against.

@@ -1,19 +1,19 @@
 #!/usr/bin/env python3
-"""Benchmark: columnar profiler — vectorized vs scalar reference.
+"""Benchmark: columnar profiler — vectorized vs scalar oracle.
 
-Acceptance check for the columnar (structure-of-arrays) profiling
-backend on a >= 200k-instruction trace:
+Acceptance check for the columnar (structure-of-arrays) profiler on a
+>= 200k-instruction trace:
 
-* ``profile_application`` (columnar backend, including the one-time
-  column build on a cold trace) must be at least **5x faster** than the
-  retained scalar reference backend, aggregated over sample rates 1.0
-  and 0.1;
-* every statistic must be **bitwise identical** between the backends at
+* ``profile_application`` (including the one-time column build on a
+  cold trace) must be at least **5x faster** than the frozen scalar
+  oracle (``tests/reference/profile.py``), aggregated over sample rates
+  1.0 and 0.1;
+* every statistic must be **bitwise identical** between the two at
   both sample rates: the global and instruction-stream
   ``ReuseProfile``s, the ``ColdMissProfile``, every micro-trace
   ``MicroTraceMemoryProfile``, and the full profile's content
   fingerprint (the ``ProfileStore`` cache key), so a columnar-profiled
-  workload hits the same store entry as a scalar-profiled one.
+  workload hits the same store entry as an oracle-profiled one.
 
 Results land in ``benchmarks/results/E33_profiler.txt`` and the
 machine-readable perf-trajectory record in ``BENCH_profiler.json`` at
@@ -38,6 +38,9 @@ from repro.profiler.serialization import profile_fingerprint
 from repro.workloads import generate_trace, make_workload
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
+from tests.reference.profile import _profile_application_scalar
+
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 WORKLOAD = "gcc"
 INSTRUCTIONS = 200_000
@@ -104,8 +107,7 @@ def main() -> int:
         sampling = SamplingConfig(MICRO_TRACE, WINDOW,
                                   reuse_sample_rate=rate, reuse_seed=0)
         t0 = time.perf_counter()
-        scalar = profile_application(scalar_trace, sampling,
-                                     backend="scalar")
+        scalar = _profile_application_scalar(scalar_trace, sampling)
         t_scalar = time.perf_counter() - t0
         t0 = time.perf_counter()
         columnar = profile_application(columnar_trace, sampling)
@@ -173,7 +175,8 @@ def main() -> int:
         json.dump(record, f, indent=2)
 
     if not identical:
-        print("FAIL: backends diverged", file=sys.stderr)
+        print("FAIL: profiler diverged from the oracle",
+              file=sys.stderr)
         return 1
     if speedup < REQUIRED_SPEEDUP:
         print(f"FAIL: speedup {speedup:.2f}x < "

@@ -8,7 +8,7 @@ performance/power Pareto frontier to shortlist interesting cores.
 
 The sweep runs on the SweepEngine, which memoizes per-profile
 intermediates across configurations; see examples/parallel_sweep.py for
-its multiprocessing, on-disk-cache and streaming modes.
+its worker-pool, on-disk-cache and streaming modes.
 
 Run:  python examples/design_space_exploration.py
 """

@@ -6,8 +6,8 @@ Demonstrates the evaluation layer added on top of the paper's model:
 1. profile several workloads once (the only expensive step);
 2. warm an on-disk, content-addressed profile store so repeated sweeps
    skip the StatStack stack-distance conversion;
-3. sweep the (profiles x configs) grid on a multiprocessing pool --
-   results are bitwise identical to the serial path;
+3. sweep the (profiles x configs) grid on a worker pool -- results
+   are bitwise identical to the in-process run;
 4. consume the sweep as a STREAM, folding Pareto frontiers while later
    design points are still being evaluated.
 

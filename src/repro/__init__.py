@@ -58,7 +58,6 @@ from repro.explore import (
     SearchTrajectory,
     StreamingParetoFront,
     SweepEngine,
-    evaluate_design_space,
     get_objective,
     make_optimizer,
     pareto_front,
@@ -103,7 +102,6 @@ __all__ = [
     "SearchTrajectory",
     "StreamingParetoFront",
     "SweepEngine",
-    "evaluate_design_space",
     "get_objective",
     "make_optimizer",
     "pareto_front",

@@ -40,7 +40,7 @@ class BaselineError(ValueError):
     """A baseline file is malformed (bad TOML subset or schema)."""
 
 
-def _parse_scalar(text: str, where: str) -> Any:
+def _parse_value(text: str, where: str) -> Any:
     """One TOML scalar: quoted string, boolean, or integer."""
     if len(text) >= 2 and text[0] == '"' and text[-1] == '"':
         body = text[1:-1]
@@ -112,10 +112,10 @@ def parse_toml(text: str, filename: str = "<baseline>") -> Dict[str, Any]:
             body = value[1:-1].strip()
             items: List[Any] = []
             for part in _split_array(body, where):
-                items.append(_parse_scalar(part, where))
+                items.append(_parse_value(part, where))
             table[key] = items
         else:
-            table[key] = _parse_scalar(value, where)
+            table[key] = _parse_value(value, where)
     return root
 
 

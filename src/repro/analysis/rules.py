@@ -13,9 +13,10 @@ reproduction's core contracts:
     serialization / persistent-cache-key *sink*.  A leak here silently
     poisons every content-addressed store.
 ``worker-state``
-    Callables shipped through ``WorkerPool.imap`` (or a raw
-    ``multiprocessing`` pool) must be module-level and must not mutate
-    module-level state: the single-process race detector for the pool.
+    Callables shipped through ``WorkerPool.imap``, the grid runner
+    ``iter_grid`` (or a raw ``multiprocessing`` pool) must be
+    module-level and must not mutate module-level state: the
+    single-process race detector for the pool.
     The pool's own dispatch shim is the checked *mechanism* and is
     exempt by construction (its worker-side state cache is the
     documented broadcast protocol).
@@ -382,7 +383,8 @@ def _module_state_mutations(info: FunctionInfo,
     "must not mutate module-level state",
 )
 def _check_worker_state(ctx) -> List[Finding]:
-    """Check every ``.imap(func, ...)`` dispatch site's shipped callable."""
+    """Check the callable of every dispatch site: ``pool.imap(func, ...)``
+    and the grid runner's ``iter_grid(func, ...)``."""
     graph: CallGraph = ctx.graph
     findings: List[Finding] = []
     for qualname in sorted(graph.functions):
@@ -394,7 +396,9 @@ def _check_worker_state(ctx) -> List[Finding]:
         if "WorkerPool" in module.classes:
             continue
         for call in info.calls:
-            if call.text.split(".")[-1] != "imap" or "." not in call.text:
+            dispatch = call.text.split(".")[-1]
+            if not (dispatch == "iter_grid"
+                    or (dispatch == "imap" and "." in call.text)):
                 continue
             if not call.node.args:
                 continue

@@ -1,12 +1,14 @@
-"""A persistent, supervised worker pool for multi-stage experiment runs.
+"""A persistent, supervised worker pool and the grid runner on top of it.
 
-The sweep engines historically created one ``multiprocessing.Pool`` per
-call: fine for a single sweep, wasteful for a pipeline that profiles,
-sweeps, searches and validates on the same machine in one process
-(every stage pays pool start-up, and warm per-worker state dies with
-the pool).  :class:`WorkerPool` factors the pool out into an object a
-:class:`~repro.api.session.Session` can own for its whole lifetime and
-hand to every stage.
+:class:`WorkerPool` is a lazily-created process pool that a
+:class:`~repro.api.session.Session` owns for its whole lifetime and
+hands to every stage, so a pipeline that profiles, sweeps, searches
+and validates in one process pays pool start-up once and keeps warm
+per-worker state.  :func:`iter_grid` is the one execution path of both
+sweep engines (:class:`~repro.explore.engine.SweepEngine` and
+:class:`~repro.explore.validate.SimulationSweep`): it streams
+``func(state, task)`` over the :func:`grid_tasks` partition of a
+(rows x configs) grid, in-process or through a pool.
 
 Because a long-lived pool cannot use per-sweep ``initializer`` /
 ``initargs`` (those are fixed at pool creation), the pool broadcasts
@@ -16,8 +18,8 @@ large ones (traces, many profiles) are spilled to one temp file that
 each worker reads once, and either way the unpickled state is cached
 worker-side under a monotonically increasing token -- each worker
 materializes a given stage's state at most once.  Results are bitwise
-identical to the per-call-pool path; only where the processes come
-from (and how state reaches them) changes.
+identical to running the tasks in-process; only where the work runs
+(and how state reaches it) changes.
 
 On top of the broadcast protocol sits **task supervision** (the
 default): each task is submitted individually and awaited with a
@@ -30,8 +32,8 @@ retry re-computes the same value and the result stream stays bitwise
 identical to a fault-free run -- supervision changes *when* work
 happens, never *what* comes back.  When a stage exhausts its restart
 budget the pool marks itself unavailable and raises
-:class:`WorkerPoolError` mid-stream; the engines catch it and finish
-the remaining batches serially (see ``docs/robustness.md``).
+:class:`WorkerPoolError` mid-stream; :func:`iter_grid` catches it and
+finishes the remaining tasks in-process (see ``docs/robustness.md``).
 
 When telemetry is active in the parent, worker-side metrics piggyback
 on the existing result messages: each task runs under a worker-local
@@ -51,13 +53,14 @@ import pickle
 import shutil
 import tempfile
 import time
-from typing import Any, Callable, Iterator, Optional, Sequence, Tuple
+from typing import (Any, Callable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from repro import obs
 from repro.faults import inject
 from repro.faults.policy import RetryPolicy
 
-__all__ = ["WorkerPool", "WorkerPoolError"]
+__all__ = ["WorkerPool", "WorkerPoolError", "grid_tasks", "iter_grid"]
 
 
 class WorkerPoolError(RuntimeError):
@@ -66,10 +69,9 @@ class WorkerPoolError(RuntimeError):
     Raised by :meth:`WorkerPool.imap` when worker processes cannot be
     created on this platform (missing semaphores, sandboxed
     environments, ...), and from *inside* a supervised result stream
-    when a stage exhausts its pool-restart budget.  Callers are
-    expected to fall back to their serial path, exactly as the engines
-    do -- completed results keep streaming, only the remainder moves
-    in-process.
+    when a stage exhausts its pool-restart budget.  :func:`iter_grid`
+    falls back to in-process execution on it -- completed results keep
+    streaming, only the remainder moves in-process.
     """
 
 
@@ -318,7 +320,7 @@ class WorkerPool:
         WorkerPoolError
             When the pool cannot be created (raised here, eagerly), or
             out of the stream when a stage exhausts its restart budget;
-            callers fall back to their serial path either way.
+            :func:`iter_grid` finishes in-process either way.
         """
         pool = self._ensure()
         token = next(self._tokens)
@@ -496,11 +498,11 @@ class WorkerPool:
     def _fail_stage(self, reason: str) -> None:
         """Give up: mark the pool unavailable and raise mid-stream.
 
-        Later stages then fail eagerly in :meth:`_ensure` and the
-        engines run serially for the rest of the campaign (until
-        :meth:`revive`).  Completed results already yielded by the
-        stream are unaffected -- nothing is lost, the remainder just
-        moves in-process.
+        Later stages then fail eagerly in :meth:`_ensure` and
+        :func:`iter_grid` runs them in-process for the rest of the
+        campaign (until :meth:`revive`).  Completed results already
+        yielded by the stream are unaffected -- nothing is lost, the
+        remainder just moves in-process.
         """
         self.give_ups += 1
         self._unavailable = True
@@ -514,7 +516,7 @@ class WorkerPool:
         """Clear the unavailable flag set by an exhausted stage.
 
         The next :meth:`imap` then tries to create a fresh pool again
-        -- the opt-back-in after a campaign degraded to serial.
+        -- the opt-back-in after a campaign degraded to in-process.
         """
         self._unavailable = False
 
@@ -561,3 +563,68 @@ class WorkerPool:
     def __exit__(self, *exc_info) -> None:
         """Context-manager exit: close the pool."""
         self.close()
+
+
+# ----------------------------------------------------------------------
+# The grid runner both sweep engines share
+# ----------------------------------------------------------------------
+
+
+def grid_tasks(
+    rows: int,
+    columns: int,
+    workers: int,
+    batch_size: Optional[int] = None,
+) -> List[Tuple[int, int, int]]:
+    """Partition a ``rows x columns`` grid into ``(row, start, stop)`` tasks.
+
+    Tasks are row-major; each covers ``batch_size`` consecutive columns
+    of one row (the last of a row may be shorter).  The default chunk
+    is about a quarter of the per-worker share of a row, so a pool
+    stays busy without oversized task payloads.
+    """
+    chunk = batch_size
+    if chunk is None:
+        chunk = max(1, -(-columns // max(1, workers * 4)))
+    return [(row, start, min(start + chunk, columns))
+            for row in range(rows)
+            for start in range(0, columns, chunk)]
+
+
+def iter_grid(
+    func: Callable[[Any, Any], Any],
+    state: Any,
+    tasks: Sequence[Any],
+    workers: int,
+    pool=None,
+) -> Iterator[Any]:
+    """Stream ``func(state, task)`` for every task, in task order.
+
+    With ``workers <= 1`` every task runs in-process on ``state``
+    itself.  Otherwise the tasks go through ``pool.imap`` -- only that
+    method is used, so any object with a :meth:`WorkerPool.imap`-shaped
+    ``imap`` serves -- or, without ``pool``, through a transient
+    :class:`WorkerPool` closed (supervision counters flushed) when the
+    stream ends.  A :class:`WorkerPoolError` raised before or during
+    the stream moves the remaining tasks in-process: results already
+    yielded stay yielded and the rest follow in the same order, so the
+    stream is bitwise identical however it was produced.  ``func``
+    must be a module-level (picklable) callable.
+    """
+    done = 0
+    if workers > 1 and tasks:
+        owned = pool is None
+        if owned:
+            pool = WorkerPool(min(workers, len(tasks)))
+        try:
+            for result in pool.imap(func, state, tasks):
+                yield result
+                done += 1
+        except WorkerPoolError:
+            pass  # the pool gave up: the rest runs in-process below
+        finally:
+            if owned:
+                pool.flush_metrics(obs.metrics())
+                pool.close()
+    for task in tasks[done:]:
+        yield func(state, task)

@@ -8,7 +8,7 @@ pipeline shares:
 * one persistent :class:`~repro.api.pool.WorkerPool` reused by the
   model-side :class:`~repro.explore.engine.SweepEngine` and the
   simulator-side :class:`~repro.explore.validate.SimulationSweep`
-  (instead of one ``multiprocessing.Pool`` per call);
+  (instead of a transient pool per sweep);
 * one :class:`~repro.core.interval.ModelCache` per analytical-model
   variant, kept warm across experiments;
 * an optional warmed
@@ -223,12 +223,6 @@ class Session:
         Optional base :class:`AnalyticalModel`; a default-configured
         one is built when omitted.  A :class:`ModelCache` is attached
         (if absent) and kept warm for the session's lifetime.
-    model_backend:
-        Evaluation backend for model sweeps: ``"batch"`` (vectorized),
-        ``"scalar"`` (per-config reference loop) or ``None`` for the
-        ``REPRO_MODEL_BACKEND`` environment default.  Results are
-        bitwise identical across backends, so the choice is not part
-        of experiment fingerprints.
     telemetry:
         Optional :class:`~repro.obs.telemetry.Telemetry` to record
         into.  Defaults to whatever is active (:func:`repro.obs.current`)
@@ -245,8 +239,8 @@ class Session:
         retries transient failures but never times tasks out; the CLI
         maps ``--task-timeout`` / ``--task-retries`` here.  Because
         every task is a pure function, supervision never changes
-        results -- a degraded campaign (pool gave up, engines fell
-        back to serial) still streams bitwise-identical points.
+        results -- a degraded campaign (pool gave up, the remaining
+        batches ran in-process) still streams bitwise-identical points.
 
     Construction also refreshes the fault-injection plan from the
     ``REPRO_FAULTS`` environment (:func:`repro.faults.inject.refresh`),
@@ -266,7 +260,6 @@ class Session:
         profile_store: Union[ProfileStore, str, None] = None,
         run_store: Union[RunStore, str, None] = None,
         model: Optional[AnalyticalModel] = None,
-        model_backend: Optional[str] = None,
         telemetry: "obs.Telemetry | None" = None,
         retry: Optional[RetryPolicy] = None,
     ) -> None:
@@ -278,7 +271,6 @@ class Session:
         self.workers = workers
         self.profile_store = profile_store
         self.run_store = run_store
-        self.model_backend = model_backend
         self.telemetry = (telemetry if telemetry is not None
                           else obs.current())
         #: Serializes every run on this session.  The shared
@@ -308,7 +300,6 @@ class Session:
             workers=workers,
             store=profile_store,
             pool=self.pool,
-            backend=model_backend,
         )
         # Lazily-profiled workload registry: traces by
         # (name, instructions, trace_seed); profiles by the full

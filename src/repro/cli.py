@@ -52,18 +52,9 @@ from repro.api import (
     SpecError,
     config_from_overrides,
 )
-from repro.backends import MODEL_BACKENDS
 from repro.explore.search import OBJECTIVES, OPTIMIZERS
 from repro.simulator import simulate
 from repro.workloads import generate_trace, make_workload, workload_names
-
-
-def _add_model_backend_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model-backend", choices=MODEL_BACKENDS,
-                        default=None,
-                        help="model evaluation backend (default: "
-                             "REPRO_MODEL_BACKEND or 'batch'; results "
-                             "are bitwise identical)")
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
@@ -233,8 +224,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             limit=args.limit,
         )
         with Session(workers=args.workers,
-                     profile_store=args.cache,
-                     model_backend=args.model_backend) as session:
+                     profile_store=args.cache) as session:
             data = session.run(spec).data
     except SpecError as exc:
         return _error(str(exc))
@@ -275,8 +265,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             batch_size=args.batch_size,
         )
         with Session(workers=args.workers,
-                     profile_store=args.cache,
-                     model_backend=args.model_backend) as session:
+                     profile_store=args.cache) as session:
             data = session.run(spec).data
     except SpecError as exc:
         return _error(str(exc))
@@ -335,8 +324,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             train_fraction=args.train_fraction,
             seed=args.seed,
         )
-        with Session(workers=args.workers,
-                     model_backend=args.model_backend) as session:
+        with Session(workers=args.workers) as session:
             data = session.run(spec).data
     except SpecError as exc:
         return _error(str(exc))
@@ -373,8 +361,7 @@ def cmd_dvfs(args: argparse.Namespace) -> int:
             frequency=args.frequency,
             prefetch=args.prefetch,
         )
-        with Session(workers=args.workers,
-                     model_backend=args.model_backend) as session:
+        with Session(workers=args.workers) as session:
             data = session.run(spec).data
     except SpecError as exc:
         return _error(str(exc))
@@ -503,8 +490,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     try:
         session = Session(workers=args.workers,
                           profile_store=args.store,
-                          run_store=run_store,
-                          model_backend=args.model_backend)
+                          run_store=run_store)
     except (SpecError, ValueError) as exc:
         return _error(str(exc))
     server = ExperimentServer(
@@ -755,7 +741,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--cache", default=None, metavar="DIR",
                      help="profile-store directory for cached "
                           "StatStack tables")
-    _add_model_backend_argument(sub)
     sub.set_defaults(func=cmd_sweep)
 
     sub = subparsers.add_parser(
@@ -792,7 +777,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "StatStack tables")
     sub.add_argument("--trajectory", default=None, metavar="OUT.json",
                      help="write the full search trajectory as JSON")
-    _add_model_backend_argument(sub)
     sub.set_defaults(func=cmd_search)
 
     sub = subparsers.add_parser(
@@ -822,7 +806,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "(1 = serial; results are identical)")
     sub.add_argument("--json", default=None, metavar="OUT.json",
                      help="write the full report as JSON")
-    _add_model_backend_argument(sub)
     sub.set_defaults(func=cmd_validate)
 
     sub = subparsers.add_parser(
@@ -841,7 +824,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "SweepEngine with this many workers "
                           "(1 = serial)")
     _add_config_arguments(sub)
-    _add_model_backend_argument(sub)
     sub.set_defaults(func=cmd_dvfs)
 
     sub = subparsers.add_parser(
@@ -881,8 +863,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="deterministic fault injection, e.g. "
                           "'crash:0.05,hang:0.01:0.2,corrupt_store:0.02'"
                           " (kinds: crash | hang | task_error | "
-                          "batch_error | corrupt_store); equivalent to "
-                          "setting REPRO_FAULTS")
+                          "corrupt_store); equivalent to setting "
+                          "REPRO_FAULTS")
     sub.add_argument("--faults-seed", type=int, default=0, metavar="N",
                      help="seed of the fault-injection hash "
                           "(REPRO_FAULTS_SEED; default: 0)")
@@ -928,7 +910,6 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="SEC",
                      help="seconds SIGTERM/SIGINT waits for in-flight "
                           "requests (default: 10)")
-    _add_model_backend_argument(sub)
     sub.set_defaults(func=cmd_serve)
 
     sub = subparsers.add_parser(

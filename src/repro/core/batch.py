@@ -14,7 +14,7 @@ Bitwise parity is achieved by construction, not by tolerance:
   by calling the *same scalar helper* exactly once per unique
   dependency-key group -- using the exact :class:`ModelCache` keys the
   scalar path uses -- and scattered to configurations through inverse
-  index arrays.  A cache warmed by either backend therefore serves the
+  index arrays.  A cache warmed by either path therefore serves the
   other, and both leave the identical key -> value mapping behind.
 * The remaining glue arithmetic is vectorized with NumPy elementwise
   float64 operations in the *identical operation order* as the scalar

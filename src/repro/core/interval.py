@@ -67,7 +67,10 @@ class ModelCache:
 
     A cache is typically owned by one sweep (the sweep engine attaches a
     fresh one per run / per worker process); share one across sweeps only
-    while the profile objects stay alive.
+    while the profile objects stay alive.  For the same reason a cache
+    pickles *empty*: its keys hold profile identities that mean nothing
+    in another process, so a model shipped to a worker arrives with a
+    fresh cache of its own.
 
     Accounting: :attr:`hits` / :attr:`misses` count every :meth:`get`
     unconditionally (two plain integer adds -- results and wall-time
@@ -107,6 +110,10 @@ class ModelCache:
             return value
         self.hits += 1
         return value
+
+    def __reduce__(self):
+        """Pickle as a fresh, empty cache (keys are process-local)."""
+        return (ModelCache, ())
 
     def __len__(self) -> int:
         return len(self._memo)

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.backends import resolve_model_backend
 from repro.core.interval import IntervalModel, ModelCache, Prediction
 from repro.core.machine import MachineConfig
 from repro.core.power import ActivityVector, PowerBreakdown, PowerModel
@@ -262,9 +261,13 @@ class AnalyticalModel:
         self,
         profile: ApplicationProfile,
         configs: Sequence[MachineConfig],
-        backend: Optional[str] = None,
     ) -> List[ModelResult]:
         """Full predictions for a whole config batch on one profile.
+
+        The vectorized kernel (:func:`repro.core.batch.predict_model_batch`):
+        bitwise identical to calling :meth:`predict` per configuration,
+        and it leaves any attached :class:`ModelCache` in the state that
+        loop would.  Kernel errors propagate to the caller.
 
         Parameters
         ----------
@@ -273,26 +276,12 @@ class AnalyticalModel:
         configs:
             A sequence of configurations, or a prebuilt
             :class:`~repro.core.batch.BatchConfigs`.
-        backend:
-            ``"batch"`` (vectorized, default), ``"scalar"`` (the
-            per-config reference loop), or ``None`` to take the
-            ``REPRO_MODEL_BACKEND`` environment default.  Both backends
-            return bitwise-identical results and leave any attached
-            :class:`ModelCache` in an identical state; unknown names
-            raise ``ValueError`` before any evaluation.
 
         Returns
         -------
         list of ModelResult
             One result per configuration, in input order.
         """
-        backend = resolve_model_backend(backend)
-        if backend == "scalar":
-            from repro.core.batch import BatchConfigs
-
-            if isinstance(configs, BatchConfigs):
-                configs = configs.configs
-            return [self.predict(profile, config) for config in configs]
         from repro.core.batch import predict_model_batch
 
         return predict_model_batch(self, profile, configs)

@@ -28,7 +28,6 @@ from repro.explore.dse import (
     DesignPoint,
     best_average_config,
     best_config_per_workload,
-    evaluate_design_space,
     error_statistics,
 )
 from repro.explore.engine import SweepEngine
@@ -103,7 +102,6 @@ __all__ = [
     "power_capped",
     "best_average_config",
     "best_config_per_workload",
-    "evaluate_design_space",
     "error_statistics",
     "ParetoMetrics",
     "StreamingParetoFront",

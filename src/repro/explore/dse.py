@@ -1,9 +1,9 @@
-"""Design-space sweeps and error statistics (thesis §6.2.4, §6.3.2).
+"""Design-space sweep results and error statistics (thesis §6.2.4, §6.3.2).
 
-:func:`evaluate_design_space` is kept as a thin compatibility shim over
-the batched :class:`~repro.explore.engine.SweepEngine`; new code that
-wants parallel workers, on-disk profile caching or streaming results
-should use the engine directly.
+:class:`DesignPoint` is one evaluated (workload, configuration) pair as
+streamed by :class:`~repro.explore.engine.SweepEngine`; the helpers
+here pick optima from a sweep and score predictions against a
+reference.
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.machine import MachineConfig
-from repro.core.model import AnalyticalModel, ModelResult
-from repro.profiler.profile import ApplicationProfile
+from repro.core.model import ModelResult
 
 
 @dataclass
@@ -65,69 +64,6 @@ class DesignPoint:
         return self.result.ed2p
 
 
-def evaluate_design_space(
-    profiles: Sequence[ApplicationProfile],
-    configs: Sequence[MachineConfig],
-    model: Optional[AnalyticalModel] = None,
-    progress: Optional[Callable[[int, int], None]] = None,
-    workers: int = 1,
-    store=None,
-) -> Dict[str, List[DesignPoint]]:
-    """Evaluate every profile against every configuration.
-
-    This is the operation the micro-architecture independent profile makes
-    cheap: the profiles were collected once; each (workload, config)
-    evaluation is a pure model computation.
-
-    Compatibility shim over :class:`~repro.explore.engine.SweepEngine`
-    (serial by default); results are bitwise identical to the historical
-    serial loop for any worker count.
-
-    Parameters
-    ----------
-    profiles:
-        Application profiles to evaluate (one per workload).
-    configs:
-        Machine configurations forming the design space.
-    model:
-        Analytical model instance; defaults to a fresh one.
-    progress:
-        Optional ``progress(done, total)`` callback per design point.
-    workers:
-        Worker processes for the underlying engine; 1 = serial.
-    store:
-        Optional :class:`~repro.profiler.serialization.ProfileStore`
-        for on-disk profile/intermediate caching.
-
-    Returns
-    -------
-    dict of str to list of DesignPoint
-        Per-workload design points, in configuration order.
-
-    .. deprecated:: 1.1
-        Use :class:`repro.api.Session` (``Session.run`` with a
-        ``sweep`` :class:`~repro.api.spec.ExperimentSpec`) or
-        :meth:`repro.explore.engine.SweepEngine.sweep` directly; both
-        share caches and worker pools across calls instead of
-        rebuilding them here.
-    """
-    import warnings
-
-    from repro.explore.engine import SweepEngine
-
-    warnings.warn(
-        "evaluate_design_space() is deprecated; use "
-        "repro.api.Session.run(ExperimentSpec('sweep', ...)) or "
-        "repro.explore.engine.SweepEngine.sweep() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    engine = SweepEngine(
-        model=model, workers=workers, store=store, progress=progress
-    )
-    return engine.sweep(profiles, configs)
-
-
 def best_config_per_workload(
     results: Dict[str, List[DesignPoint]],
     metric: Callable[[DesignPoint], float] = lambda p: p.cpi,
@@ -159,7 +95,7 @@ def best_average_config(
     """The general-purpose core: best average metric across workloads.
 
     All workloads must have been evaluated over the same configuration
-    list (as :func:`evaluate_design_space` guarantees).
+    list (as :meth:`~repro.explore.engine.SweepEngine.sweep` guarantees).
 
     Parameters
     ----------

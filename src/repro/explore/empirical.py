@@ -138,7 +138,7 @@ class EmpiricalModel:
         """
         from repro.explore.engine import SweepEngine
 
-        engine = engine if engine is not None else SweepEngine()
+        engine = engine if engine is not None else SweepEngine(workers=1)
         metric = target if target is not None else (lambda p: p.cpi)
         by_name = {profile.name: profile for profile in profiles}
         samples = [

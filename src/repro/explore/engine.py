@@ -7,9 +7,10 @@ evaluated efficiently.  :class:`SweepEngine` provides that evaluation
 layer on top of :class:`~repro.core.model.AnalyticalModel`:
 
 * **Batching + parallelism**: the grid is partitioned into
-  ``(profile, config-chunk)`` batches evaluated on a ``multiprocessing``
-  pool, with a transparent serial fallback when ``workers <= 1`` or the
-  platform cannot spawn processes.
+  ``(profile, config-chunk)`` batches run by the shared grid runner
+  (:func:`~repro.api.pool.iter_grid`): in-process when ``workers <= 1``,
+  otherwise on a :class:`~repro.api.pool.WorkerPool`, finishing
+  in-process if the pool gives up or cannot start.
 * **Profile caching**: per-profile intermediates are memoized at two
   levels -- the StatStack reuse -> stack distance tables persist on disk
   in a content-addressed :class:`~repro.profiler.serialization.ProfileStore`,
@@ -29,10 +30,9 @@ layer on top of :class:`~repro.core.model.AnalyticalModel`:
   sweeps that mirror this engine (``explore.validate``) serialize
   traces two orders of magnitude faster than object lists.
 
-Results are bitwise identical between the serial and parallel paths and
-with the pre-engine serial loop: the caches memoize pure computations on
-exhaustive dependency keys, and batches are streamed back in submission
-order.
+Results are bitwise identical at any worker count and with a plain
+``predict`` loop: the caches memoize pure computations on exhaustive
+dependency keys, and batches are streamed back in submission order.
 """
 
 from __future__ import annotations
@@ -49,113 +49,30 @@ from typing import (
 )
 
 from repro import obs
-from repro.backends import resolve_model_backend
 from repro.core.interval import ModelCache
 from repro.core.machine import MachineConfig
 from repro.core.model import AnalyticalModel, ModelResult
-from repro.faults import inject
 from repro.profiler.profile import ApplicationProfile
 from repro.profiler.serialization import ProfileStore
 
 __all__ = ["SweepEngine"]
 
 
-#: Batch-backend failures that degrade to the scalar reference loop
-#: instead of aborting the sweep: the injected fault plus the error
-#: classes a broken vectorized program realistically raises.  The two
-#: backends are pinned bitwise-identical by the equivalence harness, so
-#: the fallback changes evaluation cost, never results.
-_BATCH_FALLBACK_ERRORS = (
-    inject.InjectedBatchError,
-    ArithmeticError,
-    ValueError,
-    TypeError,
-    IndexError,
-    KeyError,
-)
+def _sweep_batch(state, task: Tuple[int, int, int]) -> List[ModelResult]:
+    """Evaluate one ``(profile, config-chunk)`` task of a sweep grid.
 
-
-def _eval_batch(
-    model: AnalyticalModel,
-    profile: ApplicationProfile,
-    chunk: Sequence[MachineConfig],
-    backend: str,
-    site: str,
-) -> List[ModelResult]:
-    """Evaluate one config chunk, degrading batch -> scalar on failure.
-
-    ``site`` names this batch for the fault-injection harness (see
-    :func:`repro.faults.inject.batch_site`).  When the batch backend
-    raises -- injected or real -- the chunk is re-evaluated with the
-    scalar reference backend (bitwise-identical results, per the
-    equivalence harness) and ``engine.backend_fallbacks`` is counted.
+    ``state`` is ``(model, profiles, configs)``.  In-process the model
+    carries the sweep's cache; a model shipped to a worker arrives with
+    an empty cache of its own (a :class:`~repro.core.interval.ModelCache`
+    pickles empty), which the worker keeps warm for the rest of the
+    sweep.  The cache's hit/miss deltas are flushed into the active
+    metrics registry after each batch -- a worker's ride back to the
+    parent piggybacked on the batch's result.
     """
-    if backend == "batch":
-        try:
-            inject.batch_site(site)
-            return model.predict_batch(profile, chunk, backend="batch")
-        except _BATCH_FALLBACK_ERRORS:
-            obs.metrics().inc("engine.backend_fallbacks")
-            return model.predict_batch(profile, chunk, backend="scalar")
-    return model.predict_batch(profile, chunk, backend=backend)
-
-
-# ----------------------------------------------------------------------
-# Worker-process plumbing (module level so it pickles under spawn too)
-# ----------------------------------------------------------------------
-
-_WORKER: Dict[str, object] = {}
-
-
-def _init_worker(
-    model: AnalyticalModel,
-    profiles: Sequence[ApplicationProfile],
-    configs: Sequence[MachineConfig],
-    backend: str,
-) -> None:
-    """Pool initializer: install the grid and a fresh per-process cache."""
-    model.cache = ModelCache()
-    _WORKER["model"] = model
-    _WORKER["profiles"] = profiles
-    _WORKER["configs"] = configs
-    _WORKER["backend"] = backend
-
-
-def _run_batch(task: Tuple[int, int, int]) -> List[ModelResult]:
-    """Evaluate one (profile, config-chunk) batch inside a worker."""
+    model, profiles, configs = state
     profile_index, start, stop = task
-    model: AnalyticalModel = _WORKER["model"]  # type: ignore[assignment]
-    profile = _WORKER["profiles"][profile_index]  # type: ignore[index]
-    configs = _WORKER["configs"]  # type: ignore[assignment]
-    backend: str = _WORKER["backend"]  # type: ignore[assignment]
-    return _eval_batch(
-        model, profile, configs[start:stop],  # type: ignore[index]
-        backend, f"{profile_index}:{start}",
-    )
-
-
-def _run_shared_batch(state, task: Tuple[int, int, int]):
-    """Evaluate one batch against :class:`~repro.api.pool.WorkerPool`
-    shared state (``(model, profiles, configs, backend)``).
-
-    The state object persists inside the worker for the whole sweep, so
-    attaching a :class:`~repro.core.interval.ModelCache` on the first
-    batch gives every later batch of the same sweep a warm cache --
-    exactly what :func:`_init_worker` does for per-call pools.
-
-    Cache hit/miss deltas are flushed into the active (worker-local)
-    metrics registry after each batch, so they ride back to the parent
-    piggybacked on this batch's result message.
-    """
-    model, profiles, configs, backend = state
-    if model.cache is None:
-        model.cache = ModelCache()
-    profile_index, start, stop = task
-    profile = profiles[profile_index]
-    results = _eval_batch(
-        model, profile, configs[start:stop], backend,
-        f"{profile_index}:{start}",
-    )
+    results = model.predict_batch(profiles[profile_index],
+                                  configs[start:stop])
     model.cache.flush_metrics(obs.metrics())
     return results
 
@@ -175,8 +92,8 @@ class SweepEngine:
         state across sweeps instead.
     workers:
         Number of worker processes.  ``None`` uses ``os.cpu_count()``;
-        values ``<= 1`` select the serial path.  The parallel and serial
-        paths produce bitwise-identical results in the same order.
+        values ``<= 1`` evaluate in-process.  Results are bitwise
+        identical, in the same order, at any worker count.
     batch_size:
         Configurations per worker task.  Defaults to roughly a quarter
         of the per-worker share, so the pool stays busy without
@@ -191,20 +108,12 @@ class SweepEngine:
         Optional externally-owned :class:`~repro.api.pool.WorkerPool`.
         When given, parallel sweeps run on that persistent pool
         (shared with other stages of a
-        :class:`~repro.api.session.Session`) instead of creating a
-        ``multiprocessing.Pool`` per call; results are bitwise
-        identical.  The pool is never closed by the engine.
+        :class:`~repro.api.session.Session`) instead of a transient
+        one per sweep; results are bitwise identical.  The pool is
+        never closed by the engine.
     progress:
         Optional ``progress(done, total)`` callback invoked after every
         design point.
-    backend:
-        Model evaluation backend per config chunk: ``"batch"`` (the
-        vectorized array program), ``"scalar"`` (the per-config
-        reference loop), or ``None`` to take the
-        ``REPRO_MODEL_BACKEND`` environment default.  Both backends
-        stream bitwise-identical design points in the same order, at
-        any chunk size and worker count; unknown names raise
-        ``ValueError`` when the sweep starts.
 
     Examples
     --------
@@ -222,7 +131,6 @@ class SweepEngine:
         store: Optional[ProfileStore] = None,
         pool=None,
         progress: Optional[Callable[[int, int], None]] = None,
-        backend: Optional[str] = None,
     ) -> None:
         self.model = model if model is not None else AnalyticalModel()
         self.workers = workers
@@ -230,7 +138,6 @@ class SweepEngine:
         self.store = store
         self.pool = pool
         self.progress = progress
-        self.backend = backend
         # id -> (profile, store key): profiles already prepared by this
         # engine (the profile reference pins the id against reuse).
         self._prepared: Dict[int, Tuple[ApplicationProfile,
@@ -280,22 +187,6 @@ class SweepEngine:
                 self.store.flush_metrics(obs.metrics())
         return keys
 
-    def _batches(
-        self, n_profiles: int, n_configs: int
-    ) -> List[Tuple[int, int, int]]:
-        """Partition the grid into (profile, config-chunk) batch tasks."""
-        workers = self.effective_workers()
-        chunk = self.batch_size
-        if chunk is None:
-            chunk = max(1, -(-n_configs // max(1, workers * 4)))
-        tasks: List[Tuple[int, int, int]] = []
-        for profile_index in range(n_profiles):
-            for start in range(0, n_configs, chunk):
-                tasks.append(
-                    (profile_index, start, min(start + chunk, n_configs))
-                )
-        return tasks
-
     # ------------------------------------------------------------------
 
     def iter_sweep(
@@ -306,43 +197,58 @@ class SweepEngine:
         """Stream design points in deterministic grid order.
 
         Points are yielded profile-major (all configs of the first
-        profile, then the second, ...), identically for the serial and
-        parallel paths, so downstream consumers can fold partial results
-        while later batches are still being evaluated.
+        profile, then the second, ...), identically at any worker
+        count, so downstream consumers can fold partial results while
+        later batches are still being evaluated.
 
         Yields
         ------
         DesignPoint
             One evaluated (workload, configuration) pair at a time.
         """
+        from repro.api.pool import grid_tasks, iter_grid
+        from repro.explore.dse import DesignPoint
+
         profiles = list(profiles)
         configs = list(configs)
-        # Resolve (and validate) the backend before any evaluation, so
-        # a bad name fails fast instead of mid-sweep.
-        backend = resolve_model_backend(self.backend)
+        workers = self.effective_workers()
         with obs.span(
             "engine.sweep",
             profiles=len(profiles),
             configs=len(configs),
-            workers=self.effective_workers(),
-            backend=backend,
+            workers=workers,
         ):
             self.prepare(profiles)
             # Per-run cache unless the caller attached their own: the
             # caller's model is left exactly as it was handed to us.
-            attached = False
-            if self.model.cache is None:
+            attached = self.model.cache is None
+            if attached:
                 self.model.cache = ModelCache()
-                attached = True
+            tasks = grid_tasks(len(profiles), len(configs), workers,
+                               self.batch_size)
+            batches = iter_grid(_sweep_batch,
+                                (self.model, profiles, configs),
+                                tasks, workers, self.pool)
+            metrics = obs.metrics()
+            total = len(profiles) * len(configs)
+            done = 0
             try:
-                if (self.effective_workers() <= 1
-                        or not profiles or not configs):
-                    yield from self._iter_serial(profiles, configs, backend)
-                else:
-                    yield from self._iter_parallel(
-                        profiles, configs, backend
-                    )
+                for (profile_index, start, _), results in zip(tasks,
+                                                              batches):
+                    metrics.inc("engine.batches")
+                    metrics.inc("engine.points", len(results))
+                    name = profiles[profile_index].name
+                    for offset, result in enumerate(results):
+                        done += 1
+                        if self.progress is not None:
+                            self.progress(done, total)
+                        yield DesignPoint(
+                            workload=name,
+                            config=configs[start + offset],
+                            result=result,
+                        )
             finally:
+                batches.close()
                 if attached:
                     self.model.cache = None
 
@@ -356,192 +262,9 @@ class SweepEngine:
         Returns
         -------
         dict of str to list of DesignPoint
-            ``{workload name: [point per config, in config order]}`` --
-            the same shape :func:`~repro.explore.dse.evaluate_design_space`
-            has always returned.
+            ``{workload name: [point per config, in config order]}``.
         """
         results: Dict[str, List["DesignPoint"]] = {}
         for point in self.iter_sweep(profiles, configs):
             results.setdefault(point.workload, []).append(point)
         return results
-
-    # ------------------------------------------------------------------
-
-    def _iter_serial(
-        self,
-        profiles: Sequence[ApplicationProfile],
-        configs: Sequence[MachineConfig],
-        backend: str,
-    ) -> Iterator["DesignPoint"]:
-        tasks = self._batches(len(profiles), len(configs))
-        total = len(profiles) * len(configs)
-        yield from self._iter_serial_tail(
-            profiles, configs, backend, tasks, 0, total
-        )
-
-    def _iter_serial_tail(
-        self,
-        profiles: Sequence[ApplicationProfile],
-        configs: Sequence[MachineConfig],
-        backend: str,
-        tasks: Sequence[Tuple[int, int, int]],
-        done: int,
-        total: int,
-    ) -> Iterator["DesignPoint"]:
-        """Evaluate ``tasks`` in-process, continuing the point stream.
-
-        The whole serial path is phrased as a *tail* so the parallel
-        path can hand over mid-sweep after a pool give-up: already
-        yielded points stay yielded, ``done`` keeps the progress
-        callback monotonic, and the remaining batches run here -- on
-        the same model and cache -- in the same grid order.
-        """
-        from repro.explore.dse import DesignPoint
-
-        metrics = obs.metrics()
-        for profile_index, start, stop in tasks:
-            profile = profiles[profile_index]
-            results = _eval_batch(
-                self.model, profile, configs[start:stop], backend,
-                f"{profile_index}:{start}",
-            )
-            metrics.inc("engine.batches")
-            metrics.inc("engine.points", len(results))
-            self.model.cache.flush_metrics(metrics)
-            for offset, result in enumerate(results):
-                point = DesignPoint(
-                    workload=profile.name,
-                    config=configs[start + offset],
-                    result=result,
-                )
-                done += 1
-                if self.progress is not None:
-                    self.progress(done, total)
-                yield point
-
-    def _iter_parallel(
-        self,
-        profiles: Sequence[ApplicationProfile],
-        configs: Sequence[MachineConfig],
-        backend: str,
-    ) -> Iterator["DesignPoint"]:
-        from repro.explore.dse import DesignPoint
-
-        if self.pool is not None:
-            yield from self._iter_shared(profiles, configs, backend)
-            return
-
-        try:
-            import multiprocessing
-        except ImportError:
-            yield from self._iter_serial(profiles, configs, backend)
-            return
-
-        tasks = self._batches(len(profiles), len(configs))
-        workers = min(self.effective_workers(), len(tasks))
-        # Ship the model without its cache (workers build their own);
-        # restore the parent's cache afterwards.
-        cache = self.model.cache
-        self.model.cache = None
-        try:
-            pool = multiprocessing.Pool(
-                processes=workers,
-                initializer=_init_worker,
-                initargs=(self.model, profiles, configs, backend),
-            )
-        except (ImportError, OSError, ValueError):
-            # Platforms without working process support (missing
-            # semaphores, sandboxed environments) fall back to serial.
-            self.model.cache = cache
-            yield from self._iter_serial(profiles, configs, backend)
-            return
-        finally:
-            if self.model.cache is None:
-                self.model.cache = cache
-
-        metrics = obs.metrics()
-        total = len(profiles) * len(configs)
-        done = 0
-        with pool:
-            for (profile_index, start, _), results in zip(
-                tasks, pool.imap(_run_batch, tasks)
-            ):
-                metrics.inc("engine.batches")
-                metrics.inc("engine.points", len(results))
-                name = profiles[profile_index].name
-                for offset, result in enumerate(results):
-                    done += 1
-                    if self.progress is not None:
-                        self.progress(done, total)
-                    yield DesignPoint(
-                        workload=name,
-                        config=configs[start + offset],
-                        result=result,
-                    )
-
-    def _iter_shared(
-        self,
-        profiles: Sequence[ApplicationProfile],
-        configs: Sequence[MachineConfig],
-        backend: str,
-    ) -> Iterator["DesignPoint"]:
-        """The parallel path on an externally-owned persistent pool.
-
-        Ships ``(model-without-cache, profiles, configs, backend)`` as
-        the stage's shared state (pickled once, installed per worker at
-        most once) and streams batches back in submission order, so
-        results are bitwise identical to :meth:`_iter_parallel`.
-        Platforms without working process support fall back to serial
-        up front; a :class:`~repro.api.pool.WorkerPoolError` raised
-        *mid-stream* (supervision gave the stage up) hands the
-        remaining batches to :meth:`_iter_serial_tail` -- completed
-        points are kept and the sweep finishes in-process with
-        identical results.
-        """
-        from repro.api.pool import WorkerPoolError
-        from repro.explore.dse import DesignPoint
-
-        tasks = self._batches(len(profiles), len(configs))
-        # Ship the model without its cache (workers attach their own);
-        # restore the parent's cache afterwards.
-        cache = self.model.cache
-        self.model.cache = None
-        try:
-            stream = self.pool.imap(
-                _run_shared_batch,
-                (self.model, list(profiles), list(configs), backend),
-                tasks,
-            )
-        except WorkerPoolError:
-            self.model.cache = cache
-            yield from self._iter_serial(profiles, configs, backend)
-            return
-        finally:
-            if self.model.cache is None:
-                self.model.cache = cache
-
-        metrics = obs.metrics()
-        total = len(profiles) * len(configs)
-        done = 0
-        for completed, (profile_index, start, _) in enumerate(tasks):
-            try:
-                results = next(stream)
-            except WorkerPoolError:
-                metrics.inc("engine.serial_fallbacks")
-                yield from self._iter_serial_tail(
-                    profiles, configs, backend,
-                    tasks[completed:], done, total,
-                )
-                return
-            metrics.inc("engine.batches")
-            metrics.inc("engine.points", len(results))
-            name = profiles[profile_index].name
-            for offset, result in enumerate(results):
-                done += 1
-                if self.progress is not None:
-                    self.progress(done, total)
-                yield DesignPoint(
-                    workload=name,
-                    config=configs[start + offset],
-                    result=result,
-                )

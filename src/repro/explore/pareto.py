@@ -103,7 +103,7 @@ def pareto_front(points: Sequence[Point]) -> List[int]:
     lowest-``y`` members can be optimal (higher ones are dominated
     in-group), and they are optimal exactly when that ``y`` improves on
     everything to their left.  Equivalent, index set included, to the
-    quadratic all-pairs scan (see :func:`_pareto_front_quadratic`).
+    quadratic all-pairs scan (the oracle in ``tests/reference/pareto.py``).
 
     Ties: duplicated coordinates are all kept (they dominate nothing and
     are not strictly dominated).
@@ -126,25 +126,6 @@ def pareto_front(points: Sequence[Point]) -> List[int]:
             best_y = group_min_y
         i = j
     indices.sort()
-    return indices
-
-
-def _pareto_front_quadratic(points: Sequence[Point]) -> List[int]:
-    """Reference all-pairs O(n^2) frontier; ground truth for tests."""
-    indices: List[int] = []
-    for i, (x_i, y_i) in enumerate(points):
-        dominated = False
-        for j, (x_j, y_j) in enumerate(points):
-            if j == i:
-                continue
-            if (
-                x_j <= x_i and y_j <= y_i
-                and (x_j < x_i or y_j < y_i)
-            ):
-                dominated = True
-                break
-        if not dominated:
-            indices.append(i)
     return indices
 
 

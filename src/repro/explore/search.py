@@ -9,8 +9,8 @@ evaluation environment and interchangeable search agents:
 * :class:`SearchProblem` -- profiles + a :class:`DesignSpace` + an
   :class:`Objective` -- turns batches of abstract points into fitness
   values by driving the batched
-  :class:`~repro.explore.engine.SweepEngine` (so multiprocessing
-  workers, the :class:`~repro.core.interval.ModelCache` and the on-disk
+  :class:`~repro.explore.engine.SweepEngine` (so worker processes,
+  the :class:`~repro.core.interval.ModelCache` and the on-disk
   :class:`~repro.profiler.serialization.ProfileStore` all apply to
   search for free), memoizing fitnesses so revisited points are free;
 * :class:`EvaluationBudget` bounds the number of *distinct*
@@ -313,12 +313,6 @@ class SearchProblem:
         memoized intermediates persist across proposal batches instead
         of being rebuilt every round (results are unchanged -- the
         cache is a bitwise-identical memo).
-    backend:
-        Model evaluation backend for the default engine (``"batch"``,
-        ``"scalar"`` or ``None`` for the environment default); ignored
-        when an ``engine`` is passed -- configure the engine directly
-        instead.  Search trajectories are bitwise identical across
-        backends.
     """
 
     def __init__(
@@ -327,15 +321,14 @@ class SearchProblem:
         space: DesignSpace,
         objective: Objective,
         engine: Optional[SweepEngine] = None,
-        backend: Optional[str] = None,
     ) -> None:
         if not profiles:
             raise ValueError("need at least one profile")
         self.profiles = list(profiles)
         self.space = space
         self.objective = objective
-        self.engine = engine if engine is not None else SweepEngine(
-            workers=1, backend=backend)
+        self.engine = (engine if engine is not None
+                       else SweepEngine(workers=1))
         # Keep memoized model intermediates alive across the many
         # small engine sweeps a search performs (iter_sweep only
         # attaches a per-call cache when none is present).

@@ -22,10 +22,10 @@ then folds both result streams into a per-workload report:
   scored on the held-out remainder.
 
 Simulation is the slow side, so :class:`SimulationSweep` parallelizes
-it with the same discipline as the model-side engine: (workload,
-config-chunk) batches on a ``multiprocessing`` pool, deterministic
-profile-major yield order, and a transparent serial fallback.  Reports
-are bitwise identical at any worker count.
+it through the same grid runner as the model-side engine: (workload,
+config-chunk) batches on a worker pool, deterministic trace-major yield
+order, and in-process execution when the pool is absent or gives up.
+Reports are bitwise identical at any worker count.
 """
 
 from __future__ import annotations
@@ -76,32 +76,11 @@ __all__ = [
 STACK_COMPONENT_MAP: Dict[str, str] = {"llc_chain": "llc"}
 
 
-# ----------------------------------------------------------------------
-# Worker-process plumbing (module level so it pickles under spawn too)
-# ----------------------------------------------------------------------
-
-_SIM_WORKER: Dict[str, object] = {}
-
-
-def _init_sim_worker(
-    traces: Sequence[Trace], configs: Sequence[MachineConfig]
-) -> None:
-    """Pool initializer: install the simulation grid in the worker."""
-    _SIM_WORKER["traces"] = traces
-    _SIM_WORKER["configs"] = configs
-
-
-def _run_sim_batch(task: Tuple[int, int, int]) -> List[SimulationResult]:
-    """Simulate one (trace, config-chunk) batch inside a worker."""
-    trace_index, start, stop = task
-    trace: Trace = _SIM_WORKER["traces"][trace_index]  # type: ignore[index]
-    configs = _SIM_WORKER["configs"]  # type: ignore[assignment]
-    return [simulate(trace, config) for config in configs[start:stop]]
-
-
-def _run_shared_sim_batch(state, task: Tuple[int, int, int]):
-    """Simulate one batch against :class:`~repro.api.pool.WorkerPool`
-    shared state (``(traces, configs)``)."""
+def _simulate_batch(
+    state, task: Tuple[int, int, int]
+) -> List[SimulationResult]:
+    """Simulate one ``(trace, config-chunk)`` task of a simulation grid
+    (``state`` is ``(traces, configs)``)."""
     traces, configs = state
     trace_index, start, stop = task
     trace = traces[trace_index]
@@ -158,12 +137,13 @@ class SimulationSweep:
     """Evaluates (traces x configs) grids on the cycle-level simulator.
 
     The simulator is the slow side of a validation campaign, so this
-    class mirrors the :class:`~repro.explore.engine.SweepEngine`
-    batching/streaming/serial-fallback discipline on its own
-    ``multiprocessing`` pool: the grid is partitioned into (trace,
-    config-chunk) batches, results stream back in deterministic
-    trace-major order, and platforms without working process support
-    fall back to an in-process serial loop with identical results.
+    class runs its grid through the same grid runner as the
+    :class:`~repro.explore.engine.SweepEngine`
+    (:func:`~repro.api.pool.iter_grid`): the grid is partitioned into
+    (trace, config-chunk) batches, results stream back in deterministic
+    trace-major order, and the batches run in-process when
+    ``workers <= 1`` or when the pool gives up or cannot start, with
+    identical results.
 
     Traces reach the pool in columnar form: ``Trace`` pickles as its
     :class:`~repro.workloads.columns.TraceColumns` arrays (never a
@@ -175,8 +155,8 @@ class SimulationSweep:
     ----------
     workers:
         Worker processes.  ``None`` uses ``os.cpu_count()``; values
-        ``<= 1`` select the serial path.  Serial and parallel runs
-        yield bitwise-identical points in the same order.
+        ``<= 1`` simulate in-process.  Points are bitwise identical, in
+        the same order, at any worker count.
     batch_size:
         Configurations per worker task; defaults to roughly a quarter
         of the per-worker share.
@@ -184,9 +164,9 @@ class SimulationSweep:
         Optional externally-owned :class:`~repro.api.pool.WorkerPool`.
         When given, parallel sweeps run on that persistent pool
         (shared with the model-side engine and any other stage of a
-        :class:`~repro.api.session.Session`) instead of creating a
-        ``multiprocessing.Pool`` per call; results are bitwise
-        identical and the pool is never closed by the sweep.
+        :class:`~repro.api.session.Session`) instead of a transient
+        one per sweep; results are bitwise identical and the pool is
+        never closed by the sweep.
     progress:
         Optional ``progress(done, total)`` callback invoked after every
         simulated point.
@@ -216,22 +196,6 @@ class SimulationSweep:
             return os.cpu_count() or 1
         return max(1, self.workers)
 
-    def _batches(
-        self, n_traces: int, n_configs: int
-    ) -> List[Tuple[int, int, int]]:
-        """Partition the grid into (trace, config-chunk) batch tasks."""
-        workers = self.effective_workers()
-        chunk = self.batch_size
-        if chunk is None:
-            chunk = max(1, -(-n_configs // max(1, workers * 4)))
-        tasks: List[Tuple[int, int, int]] = []
-        for trace_index in range(n_traces):
-            for start in range(0, n_configs, chunk):
-                tasks.append(
-                    (trace_index, start, min(start + chunk, n_configs))
-                )
-        return tasks
-
     def iter_sweep(
         self,
         traces: Sequence[Trace],
@@ -240,27 +204,46 @@ class SimulationSweep:
         """Stream simulated points in deterministic grid order.
 
         Points are yielded trace-major (all configs of the first trace,
-        then the second, ...), identically for the serial and parallel
-        paths.
+        then the second, ...), identically at any worker count.
 
         Yields
         ------
         SimulatedPoint
             One simulated (workload, configuration) pair at a time.
         """
+        from repro.api.pool import grid_tasks, iter_grid
+
         traces = list(traces)
         configs = list(configs)
+        workers = self.effective_workers()
         with obs.span(
             "sim.sweep",
             traces=len(traces),
             configs=len(configs),
-            workers=self.effective_workers(),
+            workers=workers,
         ):
-            if (self.effective_workers() <= 1
-                    or not traces or not configs):
-                yield from self._iter_serial(traces, configs)
-            else:
-                yield from self._iter_parallel(traces, configs)
+            tasks = grid_tasks(len(traces), len(configs), workers,
+                               self.batch_size)
+            batches = iter_grid(_simulate_batch, (traces, configs),
+                                tasks, workers, self.pool)
+            metrics = obs.metrics()
+            total = len(traces) * len(configs)
+            done = 0
+            try:
+                for (trace_index, start, _), results in zip(tasks,
+                                                            batches):
+                    metrics.inc("sim.batches")
+                    metrics.inc("sim.points", len(results))
+                    trace = traces[trace_index]
+                    for offset, result in enumerate(results):
+                        done += 1
+                        if self.progress is not None:
+                            self.progress(done, total)
+                        yield self._fold(
+                            trace, configs[start + offset], result
+                        )
+            finally:
+                batches.close()
 
     def _fold(
         self, trace: Trace, config: MachineConfig,
@@ -272,143 +255,6 @@ class SimulationSweep:
             workload=trace.name, config=config,
             result=result, power=power,
         )
-
-    def _iter_serial(
-        self,
-        traces: Sequence[Trace],
-        configs: Sequence[MachineConfig],
-    ) -> Iterator[SimulatedPoint]:
-        tasks = self._batches(len(traces), len(configs))
-        total = len(traces) * len(configs)
-        yield from self._iter_serial_tail(
-            traces, configs, tasks, 0, total
-        )
-
-    def _iter_serial_tail(
-        self,
-        traces: Sequence[Trace],
-        configs: Sequence[MachineConfig],
-        tasks: Sequence[Tuple[int, int, int]],
-        done: int,
-        total: int,
-    ) -> Iterator[SimulatedPoint]:
-        """Simulate ``tasks`` in-process, continuing the point stream.
-
-        Mirrors :meth:`SweepEngine._iter_serial_tail`: the serial path
-        phrased as a tail so :meth:`_iter_shared` can hand over
-        mid-sweep after a pool give-up without losing completed points
-        or re-simulating anything.
-        """
-        metrics = obs.metrics()
-        for trace_index, start, stop in tasks:
-            trace = traces[trace_index]
-            for config in configs[start:stop]:
-                point = self._fold(trace, config,
-                                   simulate(trace, config))
-                metrics.inc("sim.points")
-                done += 1
-                if self.progress is not None:
-                    self.progress(done, total)
-                yield point
-
-    def _iter_parallel(
-        self,
-        traces: Sequence[Trace],
-        configs: Sequence[MachineConfig],
-    ) -> Iterator[SimulatedPoint]:
-        if self.pool is not None:
-            yield from self._iter_shared(traces, configs)
-            return
-
-        try:
-            import multiprocessing
-        except ImportError:
-            yield from self._iter_serial(traces, configs)
-            return
-
-        tasks = self._batches(len(traces), len(configs))
-        workers = min(self.effective_workers(), len(tasks))
-        try:
-            pool = multiprocessing.Pool(
-                processes=workers,
-                initializer=_init_sim_worker,
-                initargs=(traces, configs),
-            )
-        except (ImportError, OSError, ValueError):
-            # Platforms without working process support (missing
-            # semaphores, sandboxed environments) fall back to serial.
-            yield from self._iter_serial(traces, configs)
-            return
-
-        metrics = obs.metrics()
-        total = len(traces) * len(configs)
-        done = 0
-        with pool:
-            for (trace_index, start, _), results in zip(
-                tasks, pool.imap(_run_sim_batch, tasks)
-            ):
-                metrics.inc("sim.batches")
-                metrics.inc("sim.points", len(results))
-                trace = traces[trace_index]
-                for offset, result in enumerate(results):
-                    done += 1
-                    if self.progress is not None:
-                        self.progress(done, total)
-                    yield self._fold(
-                        trace, configs[start + offset], result
-                    )
-
-    def _iter_shared(
-        self,
-        traces: Sequence[Trace],
-        configs: Sequence[MachineConfig],
-    ) -> Iterator[SimulatedPoint]:
-        """The parallel path on an externally-owned persistent pool.
-
-        Traces still ship columnar (``Trace`` pickles as its
-        :class:`~repro.workloads.columns.TraceColumns` arrays) -- they
-        are part of the stage's shared state, pickled once and
-        installed per worker at most once.  Platforms without working
-        process support fall back to serial up front; a
-        :class:`~repro.api.pool.WorkerPoolError` raised *mid-stream*
-        (supervision gave the stage up) hands the remaining batches to
-        :meth:`_iter_serial_tail` with completed points kept.
-        """
-        from repro.api.pool import WorkerPoolError
-
-        tasks = self._batches(len(traces), len(configs))
-        try:
-            stream = self.pool.imap(
-                _run_shared_sim_batch,
-                (list(traces), list(configs)),
-                tasks,
-            )
-        except WorkerPoolError:
-            yield from self._iter_serial(traces, configs)
-            return
-
-        metrics = obs.metrics()
-        total = len(traces) * len(configs)
-        done = 0
-        for completed, (trace_index, start, _) in enumerate(tasks):
-            try:
-                results = next(stream)
-            except WorkerPoolError:
-                metrics.inc("sim.serial_fallbacks")
-                yield from self._iter_serial_tail(
-                    traces, configs, tasks[completed:], done, total
-                )
-                return
-            metrics.inc("sim.batches")
-            metrics.inc("sim.points", len(results))
-            trace = traces[trace_index]
-            for offset, result in enumerate(results):
-                done += 1
-                if self.progress is not None:
-                    self.progress(done, total)
-                yield self._fold(
-                    trace, configs[start + offset], result
-                )
 
 
 # ----------------------------------------------------------------------
@@ -716,9 +562,9 @@ class ValidationCampaign:
     pool:
         Optional externally-owned :class:`~repro.api.pool.WorkerPool`
         shared by both sides: the default engine and the simulation
-        sweep then reuse one persistent pool instead of creating one
-        ``multiprocessing.Pool`` each.  An explicitly passed ``engine``
-        keeps whatever pool configuration it already has.
+        sweep then reuse one persistent pool instead of a transient
+        pool each.  An explicitly passed ``engine`` keeps whatever pool
+        configuration it already has.
     train_fraction:
         Fraction of the grid used to train the §7.5 empirical baseline
         (seeded subsample of *simulated* results); the comparison is
@@ -967,7 +813,7 @@ class ValidationCampaign:
 
         The model side streams through the engine first (it is orders
         of magnitude faster), then the simulator side streams through
-        its own pool; per-workload records are folded as soon as both
+        the simulation sweep; per-workload records are folded as soon as both
         sides of a workload are complete.
 
         Returns

@@ -4,7 +4,7 @@ The robustness layer under the execution path.  Three pieces:
 
 * :mod:`repro.faults.inject` -- the deterministic fault-injection
   harness (:class:`FaultPlan`, the ``REPRO_FAULTS`` spec grammar, and
-  the task / batch / store injection sites).  Chaos runs replay
+  the task / store injection sites).  Chaos runs replay
   bit-for-bit because every decision is a pure seeded hash.
 * :mod:`repro.faults.policy` -- :class:`RetryPolicy`: bounded attempts,
   per-task timeouts, exponential backoff with deterministic jitter,
@@ -26,12 +26,10 @@ from repro.faults.inject import (
     FaultPlan,
     FaultRule,
     FaultSpecError,
-    InjectedBatchError,
     InjectedFault,
     InjectedTaskError,
     InjectedWorkerCrash,
     activate,
-    batch_site,
     current,
     decision_fraction,
     refresh,
@@ -48,14 +46,12 @@ __all__ = [
     "FaultPlan",
     "FaultRule",
     "FaultSpecError",
-    "InjectedBatchError",
     "InjectedFault",
     "InjectedTaskError",
     "InjectedWorkerCrash",
     "RetryPolicy",
     "activate",
     "atomic_write",
-    "batch_site",
     "current",
     "decision_fraction",
     "refresh",

@@ -31,9 +31,6 @@ Injection sites are deliberately few and explicit:
 * :func:`task_site` -- inside the worker dispatch shim, before the
   task body: may raise :class:`InjectedWorkerCrash` /
   :class:`InjectedTaskError` or sleep (``hang``).
-* :func:`batch_site` -- on the engines' batch-model path: may raise
-  :class:`InjectedBatchError`, exercising the batch -> scalar backend
-  fallback.
 * :func:`store_site` -- after a store write: may overwrite the
   just-written file with garbage, exercising quarantine + heal.
 
@@ -60,12 +57,10 @@ __all__ = [
     "FaultPlan",
     "FaultRule",
     "FaultSpecError",
-    "InjectedBatchError",
     "InjectedFault",
     "InjectedTaskError",
     "InjectedWorkerCrash",
     "activate",
-    "batch_site",
     "current",
     "decision_fraction",
     "refresh",
@@ -81,7 +76,7 @@ ENV_SEED = "REPRO_FAULTS_SEED"
 
 #: Recognized fault kinds, in the order sites evaluate them.
 FAULT_KINDS: Tuple[str, ...] = (
-    "crash", "hang", "task_error", "batch_error", "corrupt_store",
+    "crash", "hang", "task_error", "corrupt_store",
 )
 
 #: Seconds a ``hang`` fault sleeps when the clause gives no param.
@@ -106,10 +101,6 @@ class InjectedWorkerCrash(InjectedFault):
 
 class InjectedTaskError(InjectedFault):
     """A simulated transient task failure (retryable in place)."""
-
-
-class InjectedBatchError(InjectedFault):
-    """A simulated batch-backend failure (scalar fallback expected)."""
 
 
 def decision_fraction(seed: int, kind: str, key: str) -> float:
@@ -368,20 +359,6 @@ def task_site(key: str) -> None:
     if plan.decide("task_error", key):
         obs.metrics().inc("faults.injected.task_error")
         raise InjectedTaskError(f"injected task error at {key}")
-
-
-def batch_site(key: str) -> None:
-    """Fault decision point on the engines' batch-model path.
-
-    May raise :class:`InjectedBatchError`; the caller's batch -> scalar
-    fallback re-evaluates the chunk on the reference backend.
-    """
-    plan = current()
-    if plan is None:
-        return
-    if plan.decide("batch_error", key):
-        obs.metrics().inc("faults.injected.batch_error")
-        raise InjectedBatchError(f"injected batch error at {key}")
 
 
 def store_site(path: str, key: str) -> bool:

@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.isa import Instruction
 from repro.workloads.columns import (
-    TraceColumns,
     bernoulli_draws,
     count_histogram,
     previous_occurrence,
@@ -91,8 +90,7 @@ def collect_reuse_profile(
     accesses:
         Iterable of ``(address, is_write)`` pairs in stream order, or a
         pre-columnized ``(addresses, is_write)`` pair of NumPy arrays
-        (e.g. from :func:`accesses_from_columns`) -- the fast path that
-        skips per-access tuple iteration.
+        -- the fast path that skips per-access tuple iteration.
     line_size:
         Cache-line granularity in bytes.
     sample_rate:
@@ -148,8 +146,8 @@ def reuse_sweep_into(
     Bernoulli sampling decision one vectorized compare against draws
     taken from the *scalar* RNG in stream order, so the recorded subset
     -- and hence every histogram, including key insertion order -- is
-    bitwise identical to the retained scalar reference
-    (:func:`_collect_reuse_profile_scalar`).
+    bitwise identical to the scalar oracle in
+    ``tests/reference/reuse.py``.
 
     Both :func:`collect_reuse_profile` and the profiler's global reuse
     pass (``repro.profiler.profile._global_reuse_pass``) delegate here,
@@ -205,58 +203,6 @@ def _reuse_profile_from_arrays(
     return profile
 
 
-def _collect_reuse_profile_scalar(
-    accesses: Iterable[Tuple[int, bool]],
-    line_size: int = 64,
-    sample_rate: float = 1.0,
-    seed: int = 0,
-    rng: Optional[random.Random] = None,
-) -> ReuseProfile:
-    """Scalar reference implementation of :func:`collect_reuse_profile`.
-
-    One Python loop with a per-line last-access dictionary -- the
-    pre-columnar implementation, kept verbatim as the ground truth the
-    vectorized path is property-tested against (bitwise).
-    """
-    if not 0.0 < sample_rate <= 1.0:
-        raise ValueError("sample_rate must be in (0, 1]")
-    rng = rng if rng is not None else random.Random(seed)
-    profile = ReuseProfile(line_size=line_size)
-    last_access: Dict[int, int] = {}
-    index = 0
-    record_all = sample_rate >= 1.0
-
-    for addr, is_write in accesses:
-        line = addr // line_size
-        if is_write:
-            profile.store_accesses += 1
-        else:
-            profile.load_accesses += 1
-
-        recorded = record_all or rng.random() < sample_rate
-        previous = last_access.get(line)
-        if recorded:
-            profile.sampled_accesses += 1
-            if previous is None:
-                if is_write:
-                    profile.cold_stores += 1
-                else:
-                    profile.cold_loads += 1
-            else:
-                distance = index - previous - 1
-                profile.histogram[distance] = (
-                    profile.histogram.get(distance, 0) + 1
-                )
-                typed = (
-                    profile.store_histogram if is_write
-                    else profile.load_histogram
-                )
-                typed[distance] = typed.get(distance, 0) + 1
-        last_access[line] = index
-        index += 1
-    return profile
-
-
 def accesses_from_trace(
     trace: Iterable[Instruction],
 ) -> Iterable[Tuple[int, bool]]:
@@ -266,23 +212,3 @@ def accesses_from_trace(
             yield instr.addr, False
         elif instr.is_store:
             yield instr.addr, True
-
-
-def accesses_from_columns(
-    columns: TraceColumns,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Adapt columnar trace data to the ``(addresses, is_write)`` arrays.
-
-    The returned pair feeds :func:`collect_reuse_profile` directly (its
-    array fast path), skipping per-access tuple creation entirely.
-    """
-    mem = columns.is_mem
-    return columns.addr[mem], columns.is_store[mem]
-
-
-def instruction_stream_from_trace(
-    trace: Iterable[Instruction],
-) -> Iterable[Tuple[int, bool]]:
-    """Adapt a trace to its instruction-fetch address stream (I-cache)."""
-    for instr in trace:
-        yield instr.pc, False

@@ -1,9 +1,10 @@
-"""Shared differential-equivalence harness for backend pairs.
+"""Shared differential-equivalence harness: fast paths vs their oracles.
 
-The repo keeps two independent implementations of its hot paths -- the
-scalar references and the vectorized backends (columnar profiling,
-batched model evaluation).  Their contract is *bitwise* equivalence:
-same floats, same dict/Counter insertion order (``most_common``
+The package keeps one implementation of each hot path -- the columnar
+profiler passes, the batched model kernel, the sort-based Pareto
+sweep -- and ``tests/reference/`` keeps the frozen scalar oracle each
+one must reproduce.  The contract is *bitwise* equivalence: same
+floats, same dict/Counter insertion order (``most_common``
 tie-breaking and float-summation order depend on it), same serialized
 bytes, same memo-cache state.  This module centralizes the comparers
 and the hypothesis strategies that drive them, so profiler tests
@@ -13,14 +14,15 @@ engine tests (``test_engine.py``) all pin the same contract.
 Comparers come in two families:
 
 * profile-side -- :func:`assert_profiles_bitwise`,
-  :func:`assert_memory_profiles_bitwise` compare scalar vs columnar
+  :func:`assert_memory_profiles_bitwise` compare oracle vs columnar
   profiling output down to serialization bytes and store fingerprints;
 * model-side -- :func:`assert_results_bitwise`,
   :func:`assert_points_identical`, :func:`assert_cache_states_equal`
-  compare scalar vs batch model evaluations, sweep points and
-  :class:`~repro.core.interval.ModelCache` contents.
+  compare oracle vs batch model evaluations, sweep points and
+  :class:`~repro.core.interval.ModelCache` contents;
+  :func:`predict_both` runs one config batch through both.
 
-Cache-state comparison is only meaningful when both backends saw the
+Cache-state comparison is only meaningful when both sides saw the
 *same profile objects*: cache keys embed ``cache.token(profile)``,
 which is the profile's identity for the cache's lifetime.
 """
@@ -29,7 +31,10 @@ import json
 
 from hypothesis import strategies as st
 
+from reference.model import predict_batch_scalar
+from repro.core.interval import ModelCache
 from repro.core.machine import config_from_params, design_space
+from repro.core.model import AnalyticalModel
 from repro.isa import Instruction, MacroOp
 from repro.profiler import SamplingConfig, profile_application
 from repro.profiler.serialization import (
@@ -46,7 +51,7 @@ from repro.workloads.generator import (
 )
 
 # ---------------------------------------------------------------------------
-# Comparers: profile side (scalar vs columnar profiling backends).
+# Comparers: profile side (scalar oracle vs columnar profiler).
 # ---------------------------------------------------------------------------
 
 
@@ -55,8 +60,8 @@ def assert_profiles_bitwise(a, b):
 
     Byte-identical serialization, not just dict equality: the
     non-canonical ``save_profile`` JSON preserves key insertion order,
-    so profiles built by different backends must serialize to the same
-    bytes to share a :class:`ProfileStore` entry.
+    so profiles built by the oracle and the profiler must serialize to
+    the same bytes to share a :class:`ProfileStore` entry.
     """
     assert profile_to_dict(a) == profile_to_dict(b)
     assert json.dumps(profile_to_dict(a)) == json.dumps(profile_to_dict(b))
@@ -79,8 +84,19 @@ def assert_memory_profiles_bitwise(scalar, vectorized):
 
 
 # ---------------------------------------------------------------------------
-# Comparers: model side (scalar vs batch evaluation backends).
+# Comparers: model side (scalar oracle vs batch kernel).
 # ---------------------------------------------------------------------------
+
+
+def predict_both(profile, configs, **model_kwargs):
+    """Evaluate ``configs`` with the oracle and the kernel, each on a
+    fresh model and cache: ``(oracle, batch, oracle_cache, batch_cache)``.
+    """
+    oracle_model = AnalyticalModel(cache=ModelCache(), **model_kwargs)
+    batch_model = AnalyticalModel(cache=ModelCache(), **model_kwargs)
+    oracle = predict_batch_scalar(oracle_model, profile, configs)
+    batch = batch_model.predict_batch(profile, configs)
+    return oracle, batch, oracle_model.cache, batch_model.cache
 
 
 def assert_predictions_bitwise(a, b):
@@ -143,12 +159,12 @@ def _values_equal(x, y):
 def assert_cache_states_equal(a, b):
     """Two ModelCaches hold the same keys mapping to equal values.
 
-    Keys are compared as *sets*: the backends may populate the memo in
-    a different order (the batch path computes one dependency family at
-    a time), but a warmed cache must answer exactly the same queries
-    with exactly the same values either way.  Only valid when both
-    caches were used with the same profile objects (keys embed profile
-    identity via ``ModelCache.token``).
+    Keys are compared as *sets*: the oracle and the kernel may populate
+    the memo in a different order (the batch path computes one
+    dependency family at a time), but a warmed cache must answer
+    exactly the same queries with exactly the same values either way.
+    Only valid when both caches were used with the same profile objects
+    (keys embed profile identity via ``ModelCache.token``).
     """
     assert set(a._memo) == set(b._memo)
     for key, value in a._memo.items():
@@ -219,7 +235,7 @@ def profiles(draw):
     """A real ApplicationProfile of a random workload.
 
     Profiling happens inside the strategy so each example hands the
-    test one profile *object* to feed both backends -- a prerequisite
+    test one profile *object* to feed both sides -- a prerequisite
     for comparing cache states (keys embed profile identity).
     """
     spec = draw(workload_specs())

@@ -432,23 +432,61 @@ class TestWorkerPool:
 
 
 # ----------------------------------------------------------------------
-# Deprecation shim
+# Grid runner
 # ----------------------------------------------------------------------
 
 
-class TestDeprecationShim:
-    def test_evaluate_design_space_warns(self, gcc_profile):
-        import repro
-        import repro.explore
-        from repro.core import nehalem
+class _ScriptedPool:
+    """In-process duck-typed pool: answers ``-task`` for the first
+    ``good`` tasks, then gives the stage up (``good=None`` never does)."""
 
-        # The shim stays re-exported from both package roots...
-        assert repro.evaluate_design_space is \
-            repro.explore.evaluate_design_space
-        # ...and warns, pointing at the replacements.
-        with pytest.warns(DeprecationWarning,
-                          match="Session|SweepEngine"):
-            results = repro.evaluate_design_space(
-                [gcc_profile], [nehalem()]
-            )
-        assert set(results) == {"gcc"}
+    def __init__(self, good=None):
+        self.good = good
+        self.calls = 0
+
+    def imap(self, func, state, tasks):
+        from repro.api.pool import WorkerPoolError
+
+        self.calls += 1
+
+        def stream():
+            for index, task in enumerate(tasks):
+                if self.good is not None and index >= self.good:
+                    raise WorkerPoolError("gave up")
+                yield -task
+        return stream()
+
+
+class TestGridRunner:
+    def test_single_worker_runs_in_process_without_the_pool(self):
+        from repro.api.pool import iter_grid
+
+        pool = _ScriptedPool()
+        assert list(iter_grid(_echo, "s", [1, 2], 1, pool)) == [
+            ("s", 1), ("s", 2)]
+        assert pool.calls == 0
+
+    @pytest.mark.parametrize("good,expected", [
+        (None, [-1, -2, -3, -4]),
+        (2, [-1, -2, ("s", 3), ("s", 4)]),
+        (0, [("s", 1), ("s", 2), ("s", 3), ("s", 4)]),
+    ])
+    def test_give_up_finishes_in_process_in_order(self, good, expected):
+        # Pool answers stay (nothing is recomputed); only the remainder
+        # runs in-process, in task order.
+        from repro.api.pool import iter_grid
+
+        pool = _ScriptedPool(good)
+        assert list(iter_grid(_echo, "s", [1, 2, 3, 4], 2,
+                              pool)) == expected
+
+    @pytest.mark.skipif(not _mp_available(),
+                        reason="platform cannot create processes")
+    def test_transient_pool_streams_and_leaves_no_workers(self):
+        import multiprocessing
+
+        from repro.api.pool import iter_grid
+
+        out = list(iter_grid(_echo, {"k": 1}, [1, 2, 3], 2))
+        assert out == [({"k": 1}, 1), ({"k": 1}, 2), ({"k": 1}, 3)]
+        assert multiprocessing.active_children() == []

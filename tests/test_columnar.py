@@ -1,11 +1,12 @@
-"""Columnar trace backend: bitwise equivalence vs the scalar reference.
+"""Columnar trace backend: bitwise equivalence vs the scalar oracles.
 
-The vectorized profiling passes must reproduce the retained scalar
-implementations *bitwise* -- same histograms, same Counter insertion
-order (it breaks ``most_common`` tie-breaking otherwise), same floats,
-same ProfileStore content hashes -- across random traces, line sizes,
-sample rates and seeds.  Hypothesis drives the comparison; a few unit
-tests pin the columnar container behaviour itself.
+The vectorized profiling passes must reproduce the frozen scalar
+oracles in ``tests/reference/`` *bitwise* -- same histograms, same
+Counter insertion order (it breaks ``most_common`` tie-breaking
+otherwise), same floats, same ProfileStore content hashes -- across
+random traces, line sizes, sample rates and seeds.  Hypothesis drives
+the comparison; a few unit tests pin the columnar container behaviour
+itself.
 """
 
 import pickle
@@ -25,31 +26,33 @@ from equivalence import (
     seeds as _seeds,
     traces as _traces,
 )
+from reference.memory import (
+    _profile_cold_misses_scalar,
+    _profile_micro_trace_memory_scalar,
+)
+from reference.profile import (
+    _global_reuse_pass_scalar,
+    _instruction_reuse_pass_scalar,
+    _profile_application_scalar,
+)
+from reference.reuse import _collect_reuse_profile_scalar
 from repro.isa import Instruction, MacroOp
 from repro.frontend.entropy import profile_branch_entropy
 from repro.profiler import SamplingConfig, profile_application
 from repro.profiler.dependences import profile_dependence_chains
 from repro.profiler.memory import (
-    _profile_cold_misses_scalar,
-    _profile_micro_trace_memory_scalar,
     profile_cold_misses,
     profile_micro_trace_memory,
 )
 from repro.profiler.mix import profile_mix
 from repro.profiler.profile import (
     _global_reuse_pass,
-    _global_reuse_pass_scalar,
     _instruction_reuse_pass,
-    _instruction_reuse_pass_scalar,
 )
 from repro.profiler.serialization import (
     profile_fingerprint,
 )
-from repro.statstack.reuse import (
-    _collect_reuse_profile_scalar,
-    accesses_from_columns,
-    collect_reuse_profile,
-)
+from repro.statstack.reuse import collect_reuse_profile
 from repro.workloads import Trace, TraceColumns
 from repro.workloads.columns import (
     bernoulli_draws,
@@ -57,7 +60,7 @@ from repro.workloads.columns import (
     previous_occurrence,
 )
 
-# Strategies live in equivalence.py (shared with the model-backend
+# Strategies live in equivalence.py (shared with the model-kernel
 # differential tests); see there for why the value pools are small.
 
 
@@ -154,18 +157,22 @@ class TestProfileApplicationEquivalence:
                                   reuse_sample_rate=rate,
                                   reuse_seed=seed)
         trace = Trace(instrs, name="prop")
-        scalar = profile_application(trace, sampling, backend="scalar")
+        scalar = _profile_application_scalar(trace, sampling)
         columnar = profile_application(trace, sampling)
         assert_profiles_bitwise(scalar, columnar)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            profile_application(Trace([], name="x"), backend="simd")
+        # profile_application has no backend knob: every name, the
+        # once-valid "columns" and "scalar" included, fails as an
+        # unexpected keyword before any profiling.
+        for backend in ("simd", "columns", "scalar"):
+            with pytest.raises(TypeError):
+                profile_application(Trace([], name="x"), backend=backend)
 
     @pytest.mark.parametrize("workload", ["bwaves", "lbm", "gcc"])
     def test_model_predictions_bitwise_across_backends(self, workload):
         # End-to-end: the analytical model's float reductions iterate
-        # profile dicts, so backend interchangeability requires equal
+        # profile dicts, so matching the oracle requires equal
         # iteration order, not just equal dict contents.  FP workloads
         # regress the mix-insertion-order bug specifically.
         from repro.core import AnalyticalModel, nehalem
@@ -174,7 +181,7 @@ class TestProfileApplicationEquivalence:
         trace = generate_trace(make_workload(workload),
                                max_instructions=6000)
         sampling = SamplingConfig(500, 1500)
-        scalar = profile_application(trace, sampling, backend="scalar")
+        scalar = _profile_application_scalar(trace, sampling)
         columnar = profile_application(trace, sampling)
         model = AnalyticalModel()
         config = nehalem()

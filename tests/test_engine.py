@@ -1,13 +1,14 @@
 """Sweep engine: parallel/serial identity, caching, streaming, store."""
 
 import json
+import os
 
 import pytest
 
 from equivalence import assert_points_identical as _assert_points_identical
+from repro.api.pool import grid_tasks
 from repro.core import AnalyticalModel, design_space, nehalem
 from repro.core.interval import ModelCache
-from repro.explore.dse import evaluate_design_space
 from repro.explore.dvfs import explore_dvfs
 from repro.explore.empirical import EmpiricalModel
 from repro.explore.engine import SweepEngine
@@ -76,13 +77,16 @@ class TestSweepEngine:
         assert seen == [(1, 2), (2, 2)]
 
     def test_batch_partitioning_covers_grid(self):
-        engine = SweepEngine(workers=3, batch_size=4)
-        tasks = engine._batches(2, 10)
-        covered = set()
-        for profile_index, start, stop in tasks:
-            for c in range(start, stop):
-                covered.add((profile_index, c))
-        assert covered == {(p, c) for p in range(2) for c in range(10)}
+        # batch_size=None takes the default chunk, a quarter of the
+        # per-worker share: ceil(10 / (3 * 4)) = 1 config per task.
+        for batch_size, chunk in ((4, 4), (None, 1)):
+            tasks = grid_tasks(2, 10, workers=3, batch_size=batch_size)
+            assert all(stop - start <= chunk for _, start, stop in tasks)
+            covered = [(profile_index, c)
+                       for profile_index, start, stop in tasks
+                       for c in range(start, stop)]
+            assert covered == [(p, c) for p in range(2)
+                               for c in range(10)]
 
     def test_caller_model_left_untouched(self, gcc_profile):
         """The engine must not permanently mutate a caller-owned model."""
@@ -111,12 +115,6 @@ class TestSweepEngine:
         assert keys_first == keys_second
         assert gcc_profile._statstack is statstack  # no rebuild/reload
 
-    def test_shim_matches_engine(self, gcc_profile):
-        configs = design_space(SPACE)
-        shim = evaluate_design_space([gcc_profile], configs)
-        engine = SweepEngine(workers=1).sweep([gcc_profile], configs)
-        _assert_points_identical(shim["gcc"], engine["gcc"])
-
 
 class TestModelCache:
     def test_cached_predictions_identical(self, gcc_profile):
@@ -140,6 +138,20 @@ class TestModelCache:
         for config in design_space(SPACE):
             cached.predict(gcc_profile, config)
         assert len(cached.cache) == size_after_first
+
+    def test_pickles_empty(self, gcc_profile):
+        # Keys hold process-local profile identities, so a shipped
+        # model must arrive with a fresh cache of its own.
+        import pickle
+
+        model = AnalyticalModel(cache=ModelCache())
+        model.predict(gcc_profile, nehalem())
+        assert len(model.cache) > 0
+        clone = pickle.loads(pickle.dumps(model))
+        assert isinstance(clone.cache, ModelCache)
+        assert len(clone.cache) == 0
+        assert (clone.cache.hits, clone.cache.misses) == (0, 0)
+        assert len(model.cache) > 0  # the original is untouched
 
     def test_clear(self, gcc_profile):
         cached = AnalyticalModel(cache=ModelCache())
@@ -262,6 +274,27 @@ class TestEngineConsumers:
             AnalyticalModel().predict(gcc_profile, configs[0]).cpi,
             rel=0.5, abs=0.5,
         )
+
+    def test_empirical_fit_sweep_default_is_serial(self, gcc_profile,
+                                                   gamess_profile,
+                                                   monkeypatch):
+        # The default engine must not start worker processes, even on
+        # a multi-core host.
+        import multiprocessing
+
+        started = []
+
+        def no_pool(*args, **kwargs):
+            started.append(kwargs)
+            raise OSError("worker processes are off limits here")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        configs = design_space({"dispatch_width": (2, 4, 6),
+                                "rob_size": (64, 256)})
+        EmpiricalModel().fit_sweep([gcc_profile, gamess_profile],
+                                   configs)
+        assert started == []
 
 
 class TestSeededReuseSampling:

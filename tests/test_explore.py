@@ -10,7 +10,8 @@ from repro.explore.cost import (
     simulation_cost,
     speedups,
 )
-from repro.explore.dse import error_statistics, evaluate_design_space
+from repro.explore.dse import error_statistics
+from repro.explore.engine import SweepEngine
 from repro.explore.dvfs import (
     best_under_power_cap,
     config_at,
@@ -36,7 +37,7 @@ class TestDesignSpace:
     def test_evaluate_design_space(self, gcc_profile):
         space = design_space({"dispatch_width": (2, 4),
                               "llc_mb": (2, 8)})
-        results = evaluate_design_space([gcc_profile], space)
+        results = SweepEngine(workers=1).sweep([gcc_profile], space)
         points = results["gcc"]
         assert len(points) == 4
         assert all(p.cpi > 0 and p.power_watts > 0 for p in points)
@@ -87,8 +88,6 @@ class TestDVFS:
             optimal_ed2p([])
 
     def test_engine_path_matches_local_loop(self, gamess_profile):
-        from repro.explore.engine import SweepEngine
-
         local = explore_dvfs(gamess_profile, nehalem())
         engine = explore_dvfs(gamess_profile, nehalem(),
                               engine=SweepEngine(workers=1))
@@ -98,8 +97,6 @@ class TestDVFS:
             [r.power_watts for r in engine]
 
     def test_short_engine_stream_rejected(self, gamess_profile):
-        from repro.explore.engine import SweepEngine
-
         # Regression: a stream shorter than the operating-point grid
         # used to be zip-truncated into silently mispaired results.
         class ShortEngine:
@@ -185,7 +182,8 @@ class TestCoreSelection:
     def _results(self, gcc_profile, gamess_profile):
         space = design_space({"dispatch_width": (2, 4),
                               "rob_size": (64, 256)})
-        return evaluate_design_space([gcc_profile, gamess_profile], space)
+        return SweepEngine(workers=1).sweep(
+            [gcc_profile, gamess_profile], space)
 
     def test_per_workload_optimum_minimizes_metric(self, gcc_profile,
                                                    gamess_profile):

@@ -22,7 +22,6 @@ from repro.explore.validate import SimulationSweep
 from repro.faults import (
     FaultPlan,
     FaultSpecError,
-    InjectedBatchError,
     InjectedTaskError,
     InjectedWorkerCrash,
     RetryPolicy,
@@ -39,7 +38,7 @@ CI_CHAOS_SPEC = os.environ.get(inject.ENV_SPEC)
 CI_CHAOS_SEED = os.environ.get(inject.ENV_SEED) or "1337"
 
 DEFAULT_CHAOS_SPEC = ("crash:0.15,hang:0.08:0.05,task_error:0.15,"
-                      "batch_error:0.25,corrupt_store:0.3")
+                      "corrupt_store:0.3")
 
 SWEEP_SPEC = {"kind": "sweep",
               "params": {"workloads": ["gcc"], "limit": 6,
@@ -252,7 +251,6 @@ class TestActivation:
 
     def test_sites_are_noops_without_a_plan(self, tmp_path):
         inject.task_site("k")
-        inject.batch_site("k")
         path = tmp_path / "f.json"
         path.write_text("{}")
         assert inject.store_site(str(path), "k") is False
@@ -273,9 +271,6 @@ class TestActivation:
         _activate_env(monkeypatch, "task_error:1.0")
         with pytest.raises(InjectedTaskError):
             inject.task_site("k")
-        _activate_env(monkeypatch, "batch_error:1.0")
-        with pytest.raises(InjectedBatchError):
-            inject.batch_site("k")
 
 
 # ----------------------------------------------------------------------
@@ -402,22 +397,27 @@ class TestEngineDegradation:
         ).iter_sweep([gcc_profile], configs))
         assert_points_identical(serial, degraded)
 
-    def test_batch_error_degrades_to_scalar(self, gcc_profile,
-                                            monkeypatch):
+    def test_kernel_error_reaches_the_caller(self, gcc_profile,
+                                             monkeypatch):
+        # No fallback may swallow a real kernel bug: a raising batch
+        # kernel fails the sweep, in-process or out of a pool stream,
+        # and the session run around it.
+        import repro.core.batch as batch
+
+        def broken(model, profile, configs):
+            raise IndexError("broken kernel")
+
+        monkeypatch.setattr(batch, "predict_model_batch", broken)
         configs = design_space({"dispatch_width": (2, 4)})
-        reference = list(SweepEngine(
-            workers=1, backend="scalar").iter_sweep(
+        with pytest.raises(IndexError, match="broken kernel"):
+            list(SweepEngine(workers=1).iter_sweep([gcc_profile],
+                                                  configs))
+        with pytest.raises(IndexError, match="broken kernel"):
+            list(SweepEngine(workers=2, pool=_GiveUpPool(2)).iter_sweep(
                 [gcc_profile], configs))
-        _activate_env(monkeypatch, "batch_error:1.0")
-        telemetry = obs.Telemetry(trace=False, metrics=True)
-        with obs.activate(telemetry):
-            degraded = list(SweepEngine(
-                workers=1, backend="batch").iter_sweep(
-                    [gcc_profile], configs))
-        assert_points_identical(reference, degraded)
-        counters = telemetry.metrics.snapshot()["counters"]
-        assert counters["engine.backend_fallbacks"] > 0
-        assert counters["faults.injected.batch_error"] > 0
+        with Session(workers=1) as session:
+            with pytest.raises(IndexError, match="broken kernel"):
+                session.run(SWEEP_SPEC)
 
     def test_sim_sweep_midstream_give_up(self, gcc_trace):
         configs = design_space({"dispatch_width": (2, 4)})

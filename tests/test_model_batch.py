@@ -1,13 +1,13 @@
-"""Batched model backend: bitwise equivalence vs the scalar reference.
+"""Batched model kernel: bitwise equivalence vs the scalar oracle.
 
 ``IntervalModel.predict_batch`` / ``PowerModel.evaluate_batch`` must
-reproduce the retained scalar prediction loop *bitwise* -- same CPI and
-power stacks (values and key order), same window breakdowns, same
-:class:`ModelCache` contents, same DesignPoint streams at any chunk
-size and worker count.  Hypothesis drives random (profile, config
-batch) pairs through both backends via the shared harness in
+reproduce the per-config ``predict`` loop (``tests/reference/model.py``)
+*bitwise* -- same CPI and power stacks (values and key order), same
+window breakdowns, same :class:`ModelCache` contents, same DesignPoint
+streams at any chunk size and worker count.  Hypothesis drives random
+(profile, config batch) pairs through both via the shared harness in
 ``equivalence.py``; unit tests pin cache hit/miss behaviour, engine
-chunking corners, backend validation and the CLI flag.
+chunking corners, and that the old backend knob stays gone.
 """
 
 import pytest
@@ -22,15 +22,12 @@ from equivalence import (
     assert_results_bitwise,
     config_batches,
     micro_profiles,
+    predict_both as _both,
     profiles,
     table_slices,
 )
-from repro.backends import (
-    MODEL_BACKEND_ENV,
-    MODEL_BACKENDS,
-    default_model_backend,
-    resolve_model_backend,
-)
+from reference.model import ScalarModel, predict_batch_scalar
+from repro.api import Session
 from repro.cli import build_parser
 from repro.core import AnalyticalModel, BatchConfigs, ModelCache, nehalem
 from repro.core.machine import config_from_params
@@ -38,7 +35,6 @@ from repro.explore.engine import SweepEngine
 from repro.explore.search import SearchProblem, get_objective, make_optimizer
 from repro.explore.space import DesignSpace, Parameter
 from repro.profiler import profile_application
-from repro.workloads import Trace
 
 #: A small mixed batch hitting the model's branchy corners: narrow and
 #: wide pipelines, tiny and huge ROBs, prefetch on, saturated MSHRs.
@@ -53,14 +49,9 @@ CORNER_CONFIGS = [
 ]
 
 
-def _both(profile, configs, **model_kwargs):
-    """Evaluate ``configs`` with both backends on fresh models/caches."""
-    scalar_model = AnalyticalModel(cache=ModelCache(), **model_kwargs)
-    batch_model = AnalyticalModel(cache=ModelCache(), **model_kwargs)
-    scalar = scalar_model.predict_batch(profile, configs,
-                                        backend="scalar")
-    batch = batch_model.predict_batch(profile, configs, backend="batch")
-    return scalar, batch, scalar_model.cache, batch_model.cache
+#: How each side of a cache-warming comparison evaluates a batch.
+_EVALUATE = {"scalar": predict_batch_scalar,
+             "batch": AnalyticalModel.predict_batch}
 
 
 class TestBatchDifferential:
@@ -90,17 +81,16 @@ class TestBatchDifferential:
     def test_single_config_matches_scalar_predict(self, gcc_profile):
         model = AnalyticalModel()
         reference = model.predict(gcc_profile, nehalem())
-        for backend in MODEL_BACKENDS:
-            (result,) = AnalyticalModel().predict_batch(
-                gcc_profile, [nehalem()], backend=backend)
-            assert_results_bitwise(result, reference)
+        (result,) = AnalyticalModel().predict_batch(gcc_profile,
+                                                    [nehalem()])
+        assert_results_bitwise(result, reference)
 
     def test_prebuilt_batchconfigs_accepted(self, gcc_profile):
         prebuilt = BatchConfigs(CORNER_CONFIGS)
         scalar, batch, _, _ = _both(gcc_profile, prebuilt)
         assert_result_lists_bitwise(scalar, batch)
         from_list = AnalyticalModel().predict_batch(
-            gcc_profile, CORNER_CONFIGS, backend="batch")
+            gcc_profile, CORNER_CONFIGS)
         assert_result_lists_bitwise(batch, from_list)
 
     @pytest.mark.parametrize("mlp_model", ["stride", "cold", "none"])
@@ -119,7 +109,8 @@ class TestBatchDifferential:
 
 
 class TestModelCacheBehaviour:
-    """Pin what hits, what misses, and that backends warm identically."""
+    """Pin what hits, what misses, and that oracle and kernel warm
+    identically."""
 
     def test_second_evaluation_is_all_hits(self, gcc_profile):
         model = AnalyticalModel(cache=ModelCache())
@@ -155,7 +146,7 @@ class TestModelCacheBehaviour:
 
     def test_key_families_are_exhaustive(self, gcc_profile):
         # Every memo key names its dependency family first; the set of
-        # families is part of the cache contract both backends share.
+        # families is part of the cache contract oracle and kernel share.
         model = AnalyticalModel(cache=ModelCache())
         model.predict_batch(gcc_profile, CORNER_CONFIGS)
         families = {key[0] for key in model.cache._memo}
@@ -166,15 +157,13 @@ class TestModelCacheBehaviour:
                              [("scalar", "batch"), ("batch", "scalar")])
     def test_cross_backend_cache_warming(self, gcc_profile, first,
                                          second):
-        # A cache warmed by one backend must serve the other: same
-        # results, zero new keys in either direction.
+        # A cache warmed by the oracle loop must serve the kernel and
+        # vice versa: same results, zero new keys in either direction.
         cache = ModelCache()
         model = AnalyticalModel(cache=cache)
-        warm = model.predict_batch(gcc_profile, CORNER_CONFIGS,
-                                   backend=first)
+        warm = _EVALUATE[first](model, gcc_profile, CORNER_CONFIGS)
         warmed = set(cache._memo)
-        reuse = model.predict_batch(gcc_profile, CORNER_CONFIGS,
-                                    backend=second)
+        reuse = _EVALUATE[second](model, gcc_profile, CORNER_CONFIGS)
         assert set(cache._memo) == warmed
         assert_result_lists_bitwise(warm, reuse)
 
@@ -191,15 +180,14 @@ class TestEngineChunking:
         return design_space(self.SPACE)
 
     def _reference(self, profiles_):
-        return SweepEngine(workers=1, backend="scalar").sweep(
+        return SweepEngine(model=ScalarModel(), workers=1).sweep(
             profiles_, self._configs())
 
     @pytest.mark.parametrize("batch_size", [1, 3, 10_000])
     def test_any_chunk_size_matches_scalar(self, gcc_profile,
                                            batch_size):
         reference = self._reference([gcc_profile])
-        engine = SweepEngine(workers=1, batch_size=batch_size,
-                             backend="batch")
+        engine = SweepEngine(workers=1, batch_size=batch_size)
         chunked = engine.sweep([gcc_profile], self._configs())
         assert set(chunked) == set(reference)
         for name in reference:
@@ -208,10 +196,10 @@ class TestEngineChunking:
     @pytest.mark.parametrize("workers", [0, 1, 2])
     def test_any_worker_count_matches_scalar(self, gcc_profile,
                                              gamess_profile, workers):
-        # workers=0 exercises the serial fallback (clamped to 1).
+        # workers=0 is clamped to 1: evaluated in-process.
         profiles_ = [gcc_profile, gamess_profile]
         reference = self._reference(profiles_)
-        swept = SweepEngine(workers=workers, backend="batch").sweep(
+        swept = SweepEngine(workers=workers).sweep(
             profiles_, self._configs())
         assert set(swept) == set(reference)
         for name in reference:
@@ -221,8 +209,7 @@ class TestEngineChunking:
                                            gamess_profile):
         configs = self._configs()
         profiles_ = [gcc_profile, gamess_profile]
-        stream = list(SweepEngine(workers=2, batch_size=1,
-                                  backend="batch")
+        stream = list(SweepEngine(workers=2, batch_size=1)
                       .iter_sweep(profiles_, configs))
         expected = [(p.name, c.name) for p in profiles_
                     for c in configs]
@@ -236,7 +223,7 @@ class TestEngineChunking:
             name="infeasible",
         )
         assert space.configs() == []
-        results = SweepEngine(workers=1, backend="batch").sweep(
+        results = SweepEngine(workers=1).sweep(
             [gcc_profile], space.configs())
         assert results == {}
 
@@ -249,9 +236,9 @@ class TestEngineChunking:
         )
         configs = space.configs()
         assert len(configs) == 1
-        engine = SweepEngine(workers=1, batch_size=64, backend="batch")
+        engine = SweepEngine(workers=1, batch_size=64)
         points = engine.sweep([gcc_profile], configs)["gcc"]
-        reference = SweepEngine(workers=1, backend="scalar").sweep(
+        reference = SweepEngine(model=ScalarModel(), workers=1).sweep(
             [gcc_profile], configs)["gcc"]
         assert_points_identical(points, reference)
 
@@ -264,10 +251,10 @@ class TestEngineChunking:
         )
         trajectories = [
             make_optimizer("ga", seed=7).search(
-                SearchProblem([gcc_profile], space,
-                              get_objective("edp"), backend=backend),
+                SearchProblem([gcc_profile], space, get_objective("edp"),
+                              engine=SweepEngine(model=model, workers=1)),
                 20)
-            for backend in ("scalar", "batch")
+            for model in (ScalarModel(), AnalyticalModel())
         ]
         signatures = [
             [(e.index, tuple(sorted(e.point.items())), e.fitness)
@@ -278,78 +265,128 @@ class TestEngineChunking:
 
 
 class TestBackendValidation:
-    """Unknown backend names fail fast, before any evaluation."""
+    """The backend knob is gone: every API that used to take a
+    ``backend=`` argument rejects it before doing any work, and the
+    batch kernel is the only path, whatever the environment says."""
 
     def test_unknown_model_backend_rejected(self, gcc_profile):
-        with pytest.raises(ValueError, match="backend"):
+        with pytest.raises(TypeError):
             AnalyticalModel().predict_batch(gcc_profile, [nehalem()],
-                                            backend="simd")
+                                            backend="scalar")
 
     def test_model_backend_validated_before_work(self):
-        # Validation is centralized up front: a bogus backend errors
-        # out before the profile is even touched (None would crash with
-        # AttributeError otherwise).
-        with pytest.raises(ValueError, match="backend"):
+        # Rejected when the call binds, so the profile is never touched
+        # (None would crash with AttributeError otherwise).
+        with pytest.raises(TypeError):
             AnalyticalModel().predict_batch(None, [nehalem()],
-                                            backend="simd")
+                                            backend="scalar")
 
     def test_engine_rejects_unknown_backend_fast(self, gcc_profile):
-        engine = SweepEngine(workers=1, backend="simd")
-        with pytest.raises(ValueError, match="backend"):
-            engine.sweep([gcc_profile], [nehalem()])
+        space = DesignSpace(
+            parameters=(Parameter.integer("dispatch_width", 2, 4, 2),),
+            name="knob")
+        with pytest.raises(TypeError):
+            SweepEngine(workers=1, backend="scalar")
+        with pytest.raises(TypeError):
+            SearchProblem([gcc_profile], space, get_objective("edp"),
+                          backend="scalar")
+        with pytest.raises(TypeError):
+            Session(model_backend="scalar")
 
     def test_profile_backend_validated_before_work(self):
-        # Regression: profile_application used to validate the backend
-        # *after* the scalar short-circuit, so typos did a full
-        # columnar profiling run before erroring (or none at all).
-        with pytest.raises(ValueError, match="backend"):
-            profile_application(None, backend="simd")
-        with pytest.raises(ValueError, match="backend"):
-            profile_application(Trace([], name="x"), backend="simd")
+        with pytest.raises(TypeError):
+            profile_application(None, backend="scalar")
 
-    def test_env_sets_default_backend(self, monkeypatch):
-        monkeypatch.setenv(MODEL_BACKEND_ENV, "scalar")
-        assert default_model_backend() == "scalar"
-        assert resolve_model_backend(None) == "scalar"
-        # An explicit argument always wins over the environment.
-        assert resolve_model_backend("batch") == "batch"
+    def test_env_default_is_batch(self, monkeypatch, gcc_profile):
+        # REPRO_MODEL_BACKEND selects nothing any more: predict_batch
+        # always runs the kernel.
+        import repro.core.batch as batch
 
-    def test_env_default_is_batch(self, monkeypatch):
-        monkeypatch.delenv(MODEL_BACKEND_ENV, raising=False)
-        assert default_model_backend() == "batch"
+        monkeypatch.setenv("REPRO_MODEL_BACKEND", "scalar")
+        calls = []
+        kernel = batch.predict_model_batch
+
+        def spy(*args):
+            calls.append(len(args[2]))
+            return kernel(*args)
+
+        monkeypatch.setattr(batch, "predict_model_batch", spy)
+        AnalyticalModel().predict_batch(gcc_profile, [nehalem()])
+        assert calls == [1]
+
+    def test_env_sets_default_backend(self, monkeypatch, gcc_profile):
+        # REPRO_MODEL_BACKEND sets no default any more: the module that
+        # read it is gone, and an engine sweep still runs the kernel.
+        import importlib
+
+        import repro.core.batch as batch
+
+        monkeypatch.setenv("REPRO_MODEL_BACKEND", "scalar")
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.backends")
+        calls = []
+        kernel = batch.predict_model_batch
+
+        def spy(*args):
+            calls.append(len(args[2]))
+            return kernel(*args)
+
+        monkeypatch.setattr(batch, "predict_model_batch", spy)
+        configs = CORNER_CONFIGS[:3]
+        SweepEngine(workers=1).sweep([gcc_profile], configs)
+        assert calls and sum(calls) == len(configs)
 
     def test_invalid_env_backend_rejected(self, monkeypatch,
                                           gcc_profile):
-        monkeypatch.setenv(MODEL_BACKEND_ENV, "simd")
-        with pytest.raises(ValueError, match="backend"):
-            default_model_backend()
-        with pytest.raises(ValueError, match="backend"):
-            AnalyticalModel().predict_batch(gcc_profile, [nehalem()])
+        # A value the old knob rejected is not read at all now: with
+        # REPRO_MODEL_BACKEND=simd the kernel runs and its results are
+        # bitwise those of an unset environment.
+        monkeypatch.delenv("REPRO_MODEL_BACKEND", raising=False)
+        unset = AnalyticalModel().predict_batch(gcc_profile,
+                                                CORNER_CONFIGS)
+        monkeypatch.setenv("REPRO_MODEL_BACKEND", "simd")
+        from_env = AnalyticalModel().predict_batch(gcc_profile,
+                                                   CORNER_CONFIGS)
+        assert_result_lists_bitwise(from_env, unset)
 
     def test_env_backend_drives_predict_batch(self, monkeypatch,
                                               gcc_profile):
-        monkeypatch.setenv(MODEL_BACKEND_ENV, "scalar")
+        # REPRO_MODEL_BACKEND=scalar no longer routes predict_batch onto
+        # the per-config predict loop; the kernel still matches that
+        # loop bitwise.
+        monkeypatch.setenv("REPRO_MODEL_BACKEND", "scalar")
+        reference = predict_batch_scalar(AnalyticalModel(), gcc_profile,
+                                         CORNER_CONFIGS)
+        scalar_calls = []
+        predict = AnalyticalModel.predict
+
+        def spy(self, *args, **kwargs):
+            scalar_calls.append(args)
+            return predict(self, *args, **kwargs)
+
+        monkeypatch.setattr(AnalyticalModel, "predict", spy)
         from_env = AnalyticalModel().predict_batch(gcc_profile,
-                                                   [nehalem()])
-        explicit = AnalyticalModel().predict_batch(
-            gcc_profile, [nehalem()], backend="scalar")
-        assert_result_lists_bitwise(from_env, explicit)
+                                                   CORNER_CONFIGS)
+        assert scalar_calls == []
+        assert_result_lists_bitwise(from_env, reference)
 
 
 class TestCLIFlag:
+    """``--model-backend`` is gone from every subcommand that had it."""
+
     @pytest.mark.parametrize("argv", [
         ["sweep", "p.json"],
         ["search", "p.json"],
         ["validate", "gcc"],
         ["dvfs", "p.json"],
+        ["serve"],
     ])
-    def test_model_backend_flag_on_subcommands(self, argv):
+    def test_model_backend_flag_on_subcommands(self, argv, capsys):
         parser = build_parser()
-        assert parser.parse_args(argv).model_backend is None
-        for backend in MODEL_BACKENDS:
-            args = parser.parse_args(argv + ["--model-backend",
-                                             backend])
-            assert args.model_backend == backend
+        parser.parse_args(argv)
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv + ["--model-backend", "batch"])
+        capsys.readouterr()  # swallow argparse's usage message
 
     def test_invalid_choice_rejected(self, capsys):
         parser = build_parser()

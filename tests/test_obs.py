@@ -474,6 +474,48 @@ class TestEngineTelemetryEquivalence:
         assert histogram["count"] == 4
 
 
+class TestCounterParity:
+    """Both engines count the same batches, points and cache work at
+    any worker count, with or without a passed pool."""
+
+    @pytest.mark.skipif(not _mp_available(),
+                        reason="multiprocessing unavailable")
+    def test_counters_equal_across_execution_paths(self, gcc_profile):
+        from repro.api import WorkerPool
+        from repro.explore.validate import SimulationSweep
+        from repro.workloads import generate_trace, make_workload
+
+        trace = generate_trace(make_workload("gcc"),
+                               max_instructions=2000)
+        configs = design_space({"dispatch_width": (2, 4),
+                                "rob_size": (64, 128)})
+
+        def counters(workers, pooled):
+            telemetry = Telemetry(trace=False, metrics=True)
+            pool = WorkerPool(workers) if pooled else None
+            try:
+                with obs.activate(telemetry):
+                    SweepEngine(workers=workers, batch_size=2,
+                                pool=pool).sweep([gcc_profile], configs)
+                    list(SimulationSweep(workers=workers, batch_size=2,
+                                         pool=pool).iter_sweep(
+                        [trace], configs))
+            finally:
+                if pool is not None:
+                    pool.close()
+            return telemetry.metrics.snapshot()["counters"]
+
+        runs = {(workers, pooled): counters(workers, pooled)
+                for workers in (1, 2) for pooled in (False, True)}
+        expected = {"engine.batches": 2, "engine.points": 4,
+                    "sim.batches": 2, "sim.points": 4}
+        for run in runs.values():
+            assert {key: run.get(key) for key in expected} == expected
+        # Worker caches flush their counts back on both parallel paths.
+        assert runs[(2, False)]["model_cache.misses"] > 0
+        assert runs[(2, True)]["model_cache.misses"] > 0
+
+
 # ----------------------------------------------------------------------
 # CLI: --trace / --metrics / repro stats
 # ----------------------------------------------------------------------

@@ -3,9 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference.pareto import _pareto_front_quadratic
 from repro.explore.pareto import (
     StreamingParetoFront,
-    _pareto_front_quadratic,
     hypervolume,
     hvr,
     pareto_front,

@@ -39,7 +39,7 @@ CI_CHAOS_SPEC = os.environ.get(inject.ENV_SPEC)
 CI_CHAOS_SEED = os.environ.get(inject.ENV_SEED) or "1337"
 
 DEFAULT_CHAOS_SPEC = ("crash:0.15,hang:0.08:0.05,task_error:0.15,"
-                      "batch_error:0.25,corrupt_store:0.3")
+                      "corrupt_store:0.3")
 
 HOST = "127.0.0.1"
 
