@@ -9,10 +9,10 @@ Acceptance checks for the ``repro serve`` layer (:mod:`repro.serve`):
 * **warm latency** -- once the store is warm, the median round-trip for
   a non-streaming request must stay under **50 ms** (the store
   pre-check path must never wait behind the batch window);
-* **sharded lookups** -- direct :class:`ShardedRunStore` lookups must
-  stay flat as the store grows 10x (300 -> 3000 entries): the mean
-  per-lookup time may grow by at most **2.5x** (flat-directory scans
-  would blow past that).
+* **store lookups** -- direct :class:`~repro.api.runstore.RunStore`
+  lookups must stay flat as the store grows 10x (300 -> 3000 entries):
+  the mean per-lookup time may grow by at most **2.5x** (flat-directory
+  scans would blow past that).
 
 Results land in ``benchmarks/results/E37_serve.txt`` and the
 machine-readable perf-trajectory record in ``BENCH_serve.json`` at the
@@ -34,9 +34,9 @@ import tempfile
 import threading
 import time
 
-from repro.api import ExperimentSpec, Session
+from repro.api import ExperimentSpec, RunStore, Session
 from repro.api.results import RunResult
-from repro.serve import ServerThread, ShardedRunStore, get_json, request_run
+from repro.serve import ServerThread, get_json, request_run
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -97,12 +97,12 @@ def mean_lookup_ms(root, n_entries, start=0):
     the recency-seed scan amortized over the lookups, exactly like a
     restarted server.
     """
-    writer = ShardedRunStore(root)
+    writer = RunStore(root)
     specs = []
     for index in range(start, n_entries):
         result = synthetic_result(index)
         writer.put(result)
-    reader = ShardedRunStore(root)
+    reader = RunStore(root)
     stride = max(1, n_entries // LOOKUPS)
     specs = [synthetic_result(i).spec
              for i in range(0, n_entries, stride)][:LOOKUPS]
@@ -122,7 +122,7 @@ def main() -> int:
 
     workdir = tempfile.mkdtemp(prefix="bench_serve_")
     try:
-        store = ShardedRunStore(os.path.join(workdir, "runs"))
+        store = RunStore(os.path.join(workdir, "runs"))
         session = Session(workers=1, run_store=store)
         with ServerThread(session, port=0) as thread:
             t0 = time.perf_counter()

@@ -1,13 +1,13 @@
 """The experiment service end to end: one warm server, many clients.
 
 Starts an in-process ``ServerThread`` over a single Session with a
-sharded run store, then exercises the three things the service layer
+run store, then exercises the three things the service layer
 buys:
 
 1. request dedup -- four concurrent identical sweeps coalesce into
    exactly one engine computation;
-2. warm cache hits -- a repeat request is served from the sharded run
-   store without touching the engine;
+2. warm cache hits -- a repeat request is served from the run store
+   without touching the engine;
 3. streaming -- a sweep with ``stream=True`` yields design points as
    NDJSON lines while the engine produces them.
 
@@ -18,8 +18,8 @@ import json
 import tempfile
 import threading
 
-from repro.api import Session
-from repro.serve import ServerThread, ShardedRunStore, get_json, request_run
+from repro.api import RunStore, Session
+from repro.serve import ServerThread, get_json, request_run
 
 HOST = "127.0.0.1"
 
@@ -30,7 +30,7 @@ SWEEP = {
 N_CLIENTS = 4
 
 with tempfile.TemporaryDirectory(prefix="serve_example_") as workdir:
-    store = ShardedRunStore(f"{workdir}/runs")
+    store = RunStore(f"{workdir}/runs")
     session = Session(workers=1, run_store=store)
     with ServerThread(session, port=0) as server:
         print(f"== serving on {HOST}:{server.port}")
@@ -60,7 +60,7 @@ with tempfile.TemporaryDirectory(prefix="serve_example_") as workdir:
               f"{stats['server']['coalesced']} coalesced, "
               f"{len(payloads)} distinct payload(s)")
 
-        # 2. The computation warmed the sharded run store: a repeat
+        # 2. The computation warmed the run store: a repeat
         #    request is a pure store hit.
         warm = request_run(HOST, server.port, SWEEP, timeout=60)
         print(f"== warm repeat: cached={warm['cached']}")

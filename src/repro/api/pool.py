@@ -21,19 +21,19 @@ materializes a given stage's state at most once.  Results are bitwise
 identical to running the tasks in-process; only where the work runs
 (and how state reaches it) changes.
 
-On top of the broadcast protocol sits **task supervision** (the
-default): each task is submitted individually and awaited with a
-per-task timeout, failed attempts are retried under a
-:class:`~repro.faults.policy.RetryPolicy` (bounded attempts,
-exponential backoff, deterministic jitter), and a wedged or crashed
-worker triggers an automatic pool restart with every in-flight task
-resubmitted.  Tasks are pure functions of ``(state, task)``, so a
-retry re-computes the same value and the result stream stays bitwise
-identical to a fault-free run -- supervision changes *when* work
-happens, never *what* comes back.  When a stage exhausts its restart
-budget the pool marks itself unavailable and raises
-:class:`WorkerPoolError` mid-stream; :func:`iter_grid` catches it and
-finishes the remaining tasks in-process (see ``docs/robustness.md``).
+On top of the broadcast protocol sits **task supervision**: each task
+is submitted individually and awaited with a per-task timeout, failed
+attempts are retried under a :class:`~repro.faults.policy.RetryPolicy`
+(bounded attempts, exponential backoff, deterministic jitter), and a
+wedged or crashed worker triggers an automatic pool restart with every
+in-flight task resubmitted.  Tasks are pure functions of
+``(state, task)``, so a retry re-computes the same value and the result
+stream stays bitwise identical to a fault-free run -- supervision
+changes *when* work happens, never *what* comes back.  When a stage
+exhausts its restart budget the pool marks itself unavailable and
+raises :class:`WorkerPoolError` mid-stream; :func:`iter_grid` catches
+it and finishes the remaining tasks in-process (see
+``docs/robustness.md``).
 
 When telemetry is active in the parent, worker-side metrics piggyback
 on the existing result messages: each task runs under a worker-local
@@ -95,8 +95,7 @@ _TRANSIENT_TASK_ERRORS = (
 _SHARED_STATE = {"token": None, "value": None}
 
 
-def _dispatch(task: Tuple[int, Any, Callable, Any, bool,
-                          Optional[str]]) -> Any:
+def _dispatch(task: Tuple[int, Any, Callable, Any, bool, str]) -> Any:
     """Run one wrapped task inside a worker.
 
     ``task`` is ``(token, payload, func, args, collect, fault_key)``:
@@ -105,12 +104,11 @@ def _dispatch(task: Tuple[int, Any, Callable, Any, bool,
     spill file (large states, read once per worker) -- and
     ``func(state, args)`` performs the actual work.
 
-    ``fault_key`` is non-``None`` only on the supervised path: it
-    names this (stage, task, attempt) for the fault-injection harness,
-    which may raise or sleep here before the task body runs (see
-    :func:`repro.faults.inject.task_site`).  The environment-driven
-    fault plan is refreshed first, so workers honor ``REPRO_FAULTS``
-    under both fork and spawn start methods.
+    ``fault_key`` names this (stage, task, attempt) for the
+    fault-injection harness, which may raise or sleep here before the
+    task body runs (see :func:`repro.faults.inject.task_site`).  The
+    environment-driven fault plan is refreshed first, so workers honor
+    ``REPRO_FAULTS`` under both fork and spawn start methods.
 
     With ``collect`` false the bare result is returned.  With
     ``collect`` true the task runs under a worker-local metrics
@@ -121,8 +119,7 @@ def _dispatch(task: Tuple[int, Any, Callable, Any, bool,
     WorkerPool.imap` as results stream back.
     """
     token, payload, func, args, collect, fault_key = task
-    if fault_key is not None:
-        inject.refresh()
+    inject.refresh()
     if _SHARED_STATE["token"] != token:
         blob = payload
         if isinstance(payload, str):
@@ -131,13 +128,11 @@ def _dispatch(task: Tuple[int, Any, Callable, Any, bool,
         _SHARED_STATE["value"] = pickle.loads(blob)
         _SHARED_STATE["token"] = token
     if not collect:
-        if fault_key is not None:
-            inject.task_site(fault_key)
+        inject.task_site(fault_key)
         return func(_SHARED_STATE["value"], args)
     telemetry = obs.Telemetry(trace=False, metrics=True)
     with obs.activate(telemetry):
-        if fault_key is not None:
-            inject.task_site(fault_key)
+        inject.task_site(fault_key)
         with obs.span("pool.task") as span:
             result = func(_SHARED_STATE["value"], args)
         telemetry.metrics.inc("pool.tasks")
@@ -155,19 +150,13 @@ class WorkerPool:
         values ``<= 1`` mean the pool is never created (callers should
         consult :attr:`parallel` and stay serial).
     retry:
-        The :class:`~repro.faults.policy.RetryPolicy` governing the
-        supervised path (attempts, per-task timeout, backoff).  A
-        default policy is built when omitted.
+        The :class:`~repro.faults.policy.RetryPolicy` governing task
+        supervision (attempts, per-task timeout, backoff).  A default
+        policy is built when omitted.
     max_restarts:
         Pool restarts tolerated *per stage* before the stage gives up
         with :class:`WorkerPoolError` and the pool marks itself
         unavailable (see :meth:`revive`).
-    supervised:
-        ``False`` selects the raw, unsupervised dispatch path (plain
-        ``Pool.imap``, no timeouts, no retries, no fault injection).
-        The raw path is the benchmark baseline the supervision
-        overhead gate measures against, and the differential reference
-        for bitwise-identity tests.
 
     Attributes
     ----------
@@ -201,12 +190,10 @@ class WorkerPool:
         workers: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
         max_restarts: int = 5,
-        supervised: bool = True,
     ) -> None:
         self.workers = workers
         self.retry = retry if retry is not None else RetryPolicy()
         self.max_restarts = max_restarts
-        self.supervised = supervised
         self.pools_created = 0
         self.retries = 0
         self.timeouts = 0
@@ -301,13 +288,13 @@ class WorkerPool:
         (generator finalization).  ``func`` must be a module-level
         (picklable) callable.
 
-        On the supervised path (the default) each task attempt is
-        bounded by the pool's :class:`~repro.faults.policy.RetryPolicy`:
-        timeouts and injected worker crashes restart the pool and
-        resubmit the in-flight window, transient task errors back off
-        and retry in place, and attempts are bounded -- all counted in
-        the supervision counters.  Results still arrive in task order
-        and are bitwise identical to a fault-free run.
+        Each task attempt is bounded by the pool's
+        :class:`~repro.faults.policy.RetryPolicy`: timeouts and injected
+        worker crashes restart the pool and resubmit the in-flight
+        window, transient task errors back off and retry in place, and
+        attempts are bounded -- all counted in the supervision counters.
+        Results still arrive in task order and are bitwise identical to
+        a fault-free run.
 
         When the active telemetry records metrics, each worker result
         arrives with that task's metric delta piggybacked (see
@@ -336,39 +323,12 @@ class WorkerPool:
         if len(payload) > self.inline_state_limit:
             payload = self._spill(token, payload)
             registry.inc("pool.spills")
-        tasks = list(tasks)
-        if not self.supervised:
-            wrapped = [(token, payload, func, task, collect, None)
-                       for task in tasks]
-            return self._stream_plain(
-                pool.imap(_dispatch, wrapped), token, collect, registry
-            )
-        return self._stream_supervised(
-            func, payload, token, tasks, collect, registry
+        return self._stream(
+            func, payload, token, list(tasks), collect, registry
         )
 
-    def _stream_plain(self, results: Iterator[Any], token: int,
-                      collect: bool, registry) -> Iterator[Any]:
-        """Unsupervised result stream: unwrap deltas, reclaim the spill.
-
-        The ``finally`` runs on normal exhaustion, on a raising task,
-        and on generator finalization when the consumer abandons the
-        stream -- the spill file never outlives its stage.
-        """
-        try:
-            for item in results:
-                if collect:
-                    result, delta = item
-                    registry.merge(delta)
-                    yield result
-                else:
-                    yield item
-        finally:
-            self._drop_spill(token)
-
-    def _stream_supervised(self, func: Callable, payload: Any,
-                           token: int, tasks: list, collect: bool,
-                           registry) -> Iterator[Any]:
+    def _stream(self, func: Callable, payload: Any, token: int,
+                tasks: list, collect: bool, registry) -> Iterator[Any]:
         """Supervised result stream: timeouts, retries, pool restarts.
 
         Tasks are submitted individually (``apply_async``) over a
@@ -390,7 +350,9 @@ class WorkerPool:
         up with :class:`WorkerPoolError` (transient errors re-raise
         their original exception instead -- a task that fails the same
         way repeatedly is broken, not unlucky, and would fail serially
-        too).
+        too).  The ``finally`` runs on normal exhaustion, on a raising
+        task, and on generator finalization when the consumer abandons
+        the stream -- the spill file never outlives its stage.
         """
         from multiprocessing import TimeoutError as MPTimeoutError
 

@@ -66,11 +66,6 @@ class CacheStats:
     def miss_rate(self) -> float:
         return self.misses / self.accesses if self.accesses else 0.0
 
-    def load_miss_rate(self) -> float:
-        return (
-            self.load_misses / self.load_accesses if self.load_accesses else 0.0
-        )
-
 
 class Cache:
     """One set-associative LRU cache level."""
@@ -154,10 +149,6 @@ class CacheAccessResult:
         self.latency = latency
         #: per-level miss kinds for the levels that missed.
         self.kinds = kinds
-
-    @property
-    def is_llc_miss(self) -> bool:
-        return self.hit_level == 0
 
 
 class CacheHierarchy:

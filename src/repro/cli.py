@@ -48,6 +48,7 @@ from typing import List, Optional
 from repro import obs
 from repro.api import (
     ExperimentSpec,
+    RunStore,
     Session,
     SpecError,
     config_from_overrides,
@@ -481,13 +482,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.serve import ExperimentServer, ShardedRunStore
+    from repro.serve import ExperimentServer
 
-    run_store = None
-    if args.runs is not None:
-        run_store = ShardedRunStore(args.runs,
-                                    max_entries=args.max_entries)
     try:
+        run_store = None
+        if args.runs is not None:
+            run_store = RunStore(args.runs, max_entries=args.max_entries)
         session = Session(workers=args.workers,
                           profile_store=args.store,
                           run_store=run_store)
@@ -885,9 +885,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="ProfileStore directory (warmed StatStack "
                           "tables shared by every request)")
     sub.add_argument("--runs", default=None, metavar="DIR",
-                     help="sharded RunStore directory: results cached "
-                          "by content key; an existing flat store is "
-                          "read and migrated in place")
+                     help="RunStore directory: results cached by "
+                          "content key")
     sub.add_argument("--max-entries", type=int, default=None,
                      metavar="N",
                      help="LRU cap on stored runs (default: unbounded)")

@@ -788,8 +788,8 @@ def _power_batch(
     kinds = tuple(activities[0].uop_kind_counts)
     if any(tuple(a.uop_kind_counts) != kinds for a in activities):
         # Heterogeneous activity vectors (possible through the public
-        # evaluate_batch API): fall back to the scalar model per config,
-        # which is exact by definition.
+        # evaluate_power_batch API): fall back to the scalar model per
+        # config, which is exact by definition.
         breakdowns, energy, edp, ed2p = [], [], [], []
         for config, activity in zip(batch.configs, activities):
             power_model = PowerModel(config)

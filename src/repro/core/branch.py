@@ -65,15 +65,3 @@ def branch_resolution_time(
     abp = max(chains.abp.at(max(int(occupancy), 1)), 1.0)
     return average_latency * abp
 
-
-def branch_penalty(
-    chains: DependenceChains,
-    average_latency: float,
-    instructions_per_interval: float,
-    config: MachineConfig,
-) -> float:
-    """Full per-misprediction penalty: resolution + front-end refill."""
-    resolution = branch_resolution_time(
-        chains, average_latency, instructions_per_interval, config
-    )
-    return resolution + config.frontend_refill

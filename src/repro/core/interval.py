@@ -20,7 +20,7 @@ independent profile:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.branch import branch_resolution_time
 from repro.core.dispatch import DispatchLimits, effective_dispatch_rate
@@ -514,19 +514,3 @@ class IntervalModel:
             branch_mispredictions=total_mispredictions,
             frequency_ghz=config.frequency_ghz,
         )
-
-    def predict_batch(
-        self,
-        profile: ApplicationProfile,
-        configs: Sequence[MachineConfig],
-    ) -> List[Prediction]:
-        """Batched :meth:`predict`: one array program over all configs.
-
-        Accepts a config sequence or a prebuilt
-        :class:`~repro.core.batch.BatchConfigs`.  Results (and any
-        attached :class:`ModelCache` state) are bitwise identical to
-        calling :meth:`predict` per configuration.
-        """
-        from repro.core.batch import predict_interval_batch
-
-        return predict_interval_batch(self, profile, configs)

@@ -114,9 +114,6 @@ class MachineConfig:
     def cache_levels(self) -> List[CacheConfig]:
         return [self.l1d, self.l2, self.llc]
 
-    def level_sizes(self) -> List[int]:
-        return [c.size_bytes for c in self.cache_levels()]
-
     def level_latencies(self) -> List[int]:
         """Hit latency per level, then DRAM."""
         return [c.latency for c in self.cache_levels()] + [self.dram_latency]

@@ -17,7 +17,7 @@ core lands near 10 W with roughly 40% static power at 45 nm (thesis §2.4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Dict
 
 from repro.core.machine import MachineConfig
 from repro.isa import UopKind
@@ -190,18 +190,6 @@ class PowerModel:
             static=self.static_power(),
             dynamic=self.dynamic_power(activity),
         )
-
-    @staticmethod
-    def evaluate_batch(configs, activities) -> "List[PowerBreakdown]":
-        """Batched :meth:`evaluate` over aligned (config, activity) pairs.
-
-        ``configs`` is a sequence of :class:`MachineConfig` (or a
-        prebuilt :class:`~repro.core.batch.BatchConfigs`); breakdowns
-        are bitwise identical to ``PowerModel(c).evaluate(a)`` per pair.
-        """
-        from repro.core.batch import evaluate_power_batch
-
-        return evaluate_power_batch(configs, activities)
 
     # -- energy metrics ---------------------------------------------------
 

@@ -31,8 +31,8 @@ class RetryPolicy:
         Total attempts per task (first run + retries), ``>= 1``.
     timeout:
         Per-task wait budget in seconds; ``None`` waits forever (a task
-        lost to a genuinely dead worker then hangs, exactly like the
-        unsupervised path -- set a timeout to survive real crashes).
+        lost to a genuinely dead worker then never completes -- set a
+        timeout to survive real crashes).
     backoff_base:
         Delay before the first retry, in seconds.
     backoff_factor:

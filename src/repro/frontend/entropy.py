@@ -23,12 +23,13 @@ amortized over every later application/design-space query.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.isa import Instruction
 from repro.frontend.predictors import make_predictor, simulate_predictor
+from repro.workloads.columns import TraceColumns
 from repro.workloads.trace import Trace
 
 
@@ -59,80 +60,30 @@ def linear_entropy(p: float) -> float:
 
 
 def profile_branch_entropy(
-    trace: Iterable[Instruction],
+    trace: Sequence[Instruction],
     history_lengths: Sequence[int] = (4, 8, 12),
-    columns=None,
+    columns: Optional[TraceColumns] = None,
 ) -> BranchEntropyProfile:
     """Profile linear branch entropy at several global-history lengths.
 
-    One pass over the trace keeps, per history length, a table
-    ``(pc, history) -> [taken, not_taken]`` and finally averages
-    ``E(p(b, H))`` weighted by execution counts (Eq 3.15).
+    Per history length ``h``, branches are grouped by ``(pc, history)``
+    and ``E(p(b, H))`` is averaged weighted by execution counts
+    (Eq 3.15).  The pass is vectorized over the conditional-branch
+    subsequence: the ``h``-bit global history before branch ``i`` is
+    ``outcome[i-k] << (k-1)`` summed over ``k = 1..h`` -- a handful of
+    shifted-slice ORs -- and one ``np.unique`` over the combined key
+    yields the per-group taken counts.  The weighted average is
+    accumulated in first-encounter order of each ``(pc, history)``
+    group, which fixes the float summation order.
 
-    With ``columns`` (a columnar view of the same trace) the pass is
-    vectorized: global-history patterns come from shifted views of the
-    branch-outcome array and the per-``(pc, history)`` taken counts from
-    one ``np.unique`` grouping.  The weighted average is accumulated in
-    the scalar table's insertion (first-encounter) order, so the
-    entropies are bitwise identical to the scalar pass.
+    ``columns`` supplies a pre-built columnar view of the trace; when
+    omitted it is built from (or found cached on) ``trace``.
     """
-    if columns is not None:
-        branch_mask = columns.is_branch
-        return _profile_branch_entropy_arrays(
-            columns.pc[branch_mask],
-            columns.taken[branch_mask].astype(np.int64),
-            history_lengths,
-        )
-    tables: Dict[int, Dict[Tuple[int, int], List[int]]] = {
-        h: {} for h in history_lengths
-    }
-    histories: Dict[int, int] = {h: 0 for h in history_lengths}
-    masks: Dict[int, int] = {h: (1 << h) - 1 for h in history_lengths}
-    num_branches = 0
-
-    for instr in trace:
-        if not instr.is_branch:
-            continue
-        num_branches += 1
-        taken = instr.taken
-        for h in history_lengths:
-            key = (instr.pc, histories[h])
-            record = tables[h].get(key)
-            if record is None:
-                record = [0, 0]
-                tables[h][key] = record
-            record[0 if taken else 1] += 1
-            histories[h] = ((histories[h] << 1) | int(taken)) & masks[h]
-
-    profile = BranchEntropyProfile(num_branches=num_branches)
-    for h in history_lengths:
-        weighted = 0.0
-        total = 0
-        for (taken_count, not_taken_count) in (
-            tables[h].values()
-        ):
-            n = taken_count + not_taken_count
-            p = taken_count / n
-            weighted += n * linear_entropy(p)
-            total += n
-        profile.entropy[h] = weighted / total if total else 0.0
-    return profile
-
-
-def _profile_branch_entropy_arrays(
-    pcs: np.ndarray,
-    taken: np.ndarray,
-    history_lengths: Sequence[int],
-) -> BranchEntropyProfile:
-    """Columnar branch-entropy pass over the branch subsequence.
-
-    ``pcs``/``taken`` hold the PC and outcome (0/1, ``int64``) of every
-    conditional branch in stream order.  The ``h``-bit global history
-    before branch ``i`` is ``outcome[i-k] << (k-1)`` summed over
-    ``k = 1..h`` -- a handful of shifted-slice ORs -- and grouping the
-    combined ``(pc, history)`` key with ``np.unique`` replaces the
-    per-branch dictionary updates.
-    """
+    if columns is None:
+        columns = TraceColumns.ensure(trace)
+    branch_mask = columns.is_branch
+    pcs = columns.pc[branch_mask].astype(np.int64)
+    taken = columns.taken[branch_mask].astype(np.int64)
     num_branches = int(pcs.shape[0])
     profile = BranchEntropyProfile(num_branches=num_branches)
     for h in history_lengths:
@@ -144,7 +95,7 @@ def _profile_branch_entropy_arrays(
             if k >= num_branches:
                 break
             history[k:] |= taken[:-k] << (k - 1)
-        key = (pcs.astype(np.int64) << np.int64(h)) | history
+        key = (pcs << np.int64(h)) | history
         unique, first_index, inverse = np.unique(
             key, return_index=True, return_inverse=True
         )
@@ -156,8 +107,6 @@ def _profile_branch_entropy_arrays(
         ).tolist()
         weighted = 0.0
         total = 0
-        # Scalar-table insertion order == first encounter of each key;
-        # summing in that order keeps the float result bitwise equal.
         for group in np.argsort(first_index, kind="stable").tolist():
             n = group_total[group]
             p = group_taken[group] / n

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 
 class UopKind(enum.IntEnum):
@@ -163,13 +163,3 @@ class Instruction:
 #: GPRs + a few; deliberately small as the thesis notes x86's register
 #: scarcity lengthens dependence chains, §3.3).
 NUM_ARCH_REGS = 16
-
-
-def mem_level_latency(level: int, config_latencies: Optional[dict] = None) -> int:
-    """Access latency (cycles) for cache level ``level`` (1-based) or DRAM.
-
-    ``level == 0`` denotes DRAM.  Provided for convenience in tests.
-    """
-    default = {1: 4, 2: 12, 3: 30, 0: 200}
-    table = config_latencies or default
-    return table[level]

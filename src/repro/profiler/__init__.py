@@ -13,8 +13,6 @@ from repro.profiler.mix import UopMix, profile_mix
 from repro.profiler.dependences import (
     ChainProfile,
     DependenceChains,
-    chain_lengths_exact,
-    chain_lengths_stepped,
     profile_dependence_chains,
 )
 from repro.profiler.memory import (
@@ -38,8 +36,6 @@ __all__ = [
     "profile_mix",
     "ChainProfile",
     "DependenceChains",
-    "chain_lengths_exact",
-    "chain_lengths_stepped",
     "profile_dependence_chains",
     "ColdMissProfile",
     "MicroTraceMemoryProfile",

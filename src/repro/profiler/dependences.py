@@ -9,14 +9,12 @@ has length 1).  Three statistics summarize a window:
 * **ABP** (average branch path): mean chain length over branches only;
 * **CP** (critical path): the maximum chain length.
 
-Two implementations are provided:
-
-* :func:`chain_lengths_exact` slides the window one instruction at a time
-  (Algorithm 3.1 verbatim, O(N*B)); used for validation and small inputs.
-* :func:`chain_lengths_stepped` steps the window (non-overlapping), O(N);
-  the production profiler uses this, trading the thesis' sliding window
-  for speed the same way its stride-MLP model does (§4.5: "sliding versus
-  stepping ... gave similar results").
+The profiler steps the window (non-overlapping windows, O(N) per window
+size) rather than sliding it one instruction at a time as Algorithm 3.1
+does, trading the thesis' sliding window for speed the same way its
+stride-MLP model does (§4.5: "sliding versus stepping ... gave similar
+results").  Both variants over ``Instruction`` objects are kept as
+oracles in ``tests/reference/dependences.py``.
 
 Chain lengths are profiled over a grid of window sizes and interpolated to
 arbitrary ROB sizes with the thesis' logarithmic fit (§5.2, Eq 5.2).
@@ -37,24 +35,7 @@ from repro.workloads.columns import TraceColumns
 DEFAULT_ROB_GRID: Tuple[int, ...] = tuple(range(16, 257, 16))
 
 
-def _window_depths(window: Sequence[Instruction]) -> List[int]:
-    """Chain length for each instruction of one window (register deps)."""
-    depths: List[int] = []
-    last_writer: Dict[int, int] = {}
-    for position, instr in enumerate(window):
-        depth = 0
-        for src in (instr.src1, instr.src2):
-            if src >= 0:
-                producer = last_writer.get(src)
-                if producer is not None:
-                    depth = max(depth, depths[producer])
-        depths.append(depth + 1)
-        if instr.dst >= 0:
-            last_writer[instr.dst] = position
-    return depths
-
-
-def _window_depths_arrays(
+def _window_lengths(
     src1: List[int],
     src2: List[int],
     dst: List[int],
@@ -62,15 +43,12 @@ def _window_depths_arrays(
     stop: int,
     num_regs: int,
 ) -> List[int]:
-    """:func:`_window_depths` reading plain int arrays (same recurrence).
+    """Chain length of each instruction in ``[start, stop)`` (register deps).
 
-    The register-dataflow recurrence is inherently sequential, but
-    reading pre-extracted columns instead of ``Instruction`` attributes
-    removes the per-field property dispatch from the inner loop, and
-    the per-register state stores the last writer's *chain length*
-    directly (``0`` = no in-window producer; lengths are always >= 1)
-    in a flat list, replacing a dictionary lookup plus list indexing.
-    The computed lengths are identical.
+    The register-dataflow recurrence is inherently sequential; it reads
+    pre-extracted plain-int columns, and the per-register state stores
+    the last writer's *chain length* directly (``0`` = no in-window
+    producer; lengths are always >= 1) in a flat list.
     """
     depths: List[int] = []
     append = depths.append
@@ -93,7 +71,7 @@ def _window_depths_arrays(
     return depths
 
 
-def _chain_lengths_stepped_arrays(
+def _stepped_chain_stats(
     src1: List[int],
     src2: List[int],
     dst: List[int],
@@ -102,7 +80,10 @@ def _chain_lengths_stepped_arrays(
     window_size: int,
     num_regs: int,
 ) -> "ChainStats":
-    """Columnar :func:`chain_lengths_stepped` (bitwise-identical stats)."""
+    """AP/ABP/CP over stepped windows of ``window_size`` instructions.
+
+    ABP averages only over windows containing at least one branch.
+    """
     if n == 0:
         return ChainStats(0.0, 0.0, 0.0)
     ap_sum = 0.0
@@ -117,9 +98,7 @@ def _chain_lengths_stepped_arrays(
         length = stop - start
         if length < max(2, window_size // 4) and windows > 0:
             break  # skip a tiny ragged tail; it skews the averages
-        depths = _window_depths_arrays(
-            src1, src2, dst, start, stop, num_regs
-        )
+        depths = _window_lengths(src1, src2, dst, start, stop, num_regs)
         ap_sum += sum(depths) / length
         branch_sum = 0
         branch_count = 0
@@ -147,76 +126,6 @@ class ChainStats:
     ap: float
     abp: float
     cp: float
-
-
-def chain_lengths_exact(
-    instructions: Sequence[Instruction], window_size: int
-) -> ChainStats:
-    """Algorithm 3.1: slide a window one instruction at a time.
-
-    Windows are every contiguous span of ``window_size`` instructions (the
-    thesis' buffer after it first fills).  ABP averages only over windows
-    containing at least one branch.
-    """
-    n = len(instructions)
-    if n == 0:
-        return ChainStats(0.0, 0.0, 0.0)
-    size = min(window_size, n)
-    ap_sum = 0.0
-    abp_sum = 0.0
-    cp_sum = 0.0
-    windows = 0
-    branch_windows = 0
-    for start in range(0, n - size + 1):
-        window = instructions[start:start + size]
-        depths = _window_depths(window)
-        ap_sum += sum(depths) / size
-        branch_depths = [
-            depth for depth, instr in zip(depths, window) if instr.is_branch
-        ]
-        if branch_depths:
-            abp_sum += sum(branch_depths) / len(branch_depths)
-            branch_windows += 1
-        cp_sum += max(depths)
-        windows += 1
-    return ChainStats(
-        ap=ap_sum / windows,
-        abp=abp_sum / branch_windows if branch_windows else 0.0,
-        cp=cp_sum / windows,
-    )
-
-
-def chain_lengths_stepped(
-    instructions: Sequence[Instruction], window_size: int
-) -> ChainStats:
-    """Stepped-window variant: O(N) per window size."""
-    n = len(instructions)
-    if n == 0:
-        return ChainStats(0.0, 0.0, 0.0)
-    ap_sum = 0.0
-    abp_sum = 0.0
-    cp_sum = 0.0
-    windows = 0
-    branch_windows = 0
-    for start in range(0, n, window_size):
-        window = instructions[start:start + window_size]
-        if len(window) < max(2, window_size // 4) and windows > 0:
-            break  # skip a tiny ragged tail; it skews the averages
-        depths = _window_depths(window)
-        ap_sum += sum(depths) / len(window)
-        branch_depths = [
-            depth for depth, instr in zip(depths, window) if instr.is_branch
-        ]
-        if branch_depths:
-            abp_sum += sum(branch_depths) / len(branch_depths)
-            branch_windows += 1
-        cp_sum += max(depths)
-        windows += 1
-    return ChainStats(
-        ap=ap_sum / windows,
-        abp=abp_sum / branch_windows if branch_windows else 0.0,
-        cp=cp_sum / windows,
-    )
 
 
 @dataclass
@@ -283,40 +192,33 @@ class DependenceChains:
 def profile_dependence_chains(
     instructions: Sequence[Instruction],
     grid: Sequence[int] = DEFAULT_ROB_GRID,
-    exact: bool = False,
+    *,
     columns: Optional[TraceColumns] = None,
 ) -> DependenceChains:
     """Profile AP/ABP/CP over a window-size grid.
 
-    With ``columns`` (a pre-built columnar view of ``instructions``) the
-    stepped measurement extracts the register columns once and shares
-    them across all grid sizes, avoiding per-instruction attribute
-    dispatch; the statistics are bitwise identical either way.
+    The register columns are extracted once and shared across all grid
+    sizes.  ``columns`` supplies a pre-built columnar view; when omitted
+    it is built from (or found cached on) ``instructions``.
     """
+    if columns is None:
+        columns = TraceColumns.ensure(instructions)
     chains = DependenceChains(grid=tuple(grid))
-    if columns is not None and not exact:
-        src1 = columns.src1.tolist()
-        src2 = columns.src2.tolist()
-        dst = columns.dst.tolist()
-        branch_positions = np.nonzero(columns.is_branch)[0].tolist()
-        n = len(columns)
-        num_regs = 1
-        if n:
-            num_regs = 1 + max(
-                int(columns.src1.max()), int(columns.src2.max()),
-                int(columns.dst.max()), 0,
-            )
-        for size in grid:
-            stats = _chain_lengths_stepped_arrays(
-                src1, src2, dst, branch_positions, n, size, num_regs
-            )
-            chains.ap.values[size] = stats.ap
-            chains.abp.values[size] = stats.abp
-            chains.cp.values[size] = stats.cp
-        return chains
-    measure = chain_lengths_exact if exact else chain_lengths_stepped
+    src1 = columns.src1.tolist()
+    src2 = columns.src2.tolist()
+    dst = columns.dst.tolist()
+    branch_positions = np.nonzero(columns.is_branch)[0].tolist()
+    n = len(columns)
+    num_regs = 1
+    if n:
+        num_regs = 1 + max(
+            int(columns.src1.max()), int(columns.src2.max()),
+            int(columns.dst.max()), 0,
+        )
     for size in grid:
-        stats = measure(instructions, size)
+        stats = _stepped_chain_stats(
+            src1, src2, dst, branch_positions, n, size, num_regs
+        )
         chains.ap.values[size] = stats.ap
         chains.abp.values[size] = stats.abp
         chains.cp.values[size] = stats.cp

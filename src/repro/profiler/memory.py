@@ -213,16 +213,6 @@ class MicroTraceMemoryProfile:
         distribution = self.load_dependence_distribution()
         return distribution.get(1, 0.0)
 
-    def average_loads_per_path(self) -> float:
-        """lop(ROB) proxy: mean l over loads (thesis §4.8)."""
-        total = sum(self.load_dependence.values())
-        if total == 0:
-            return 0.0
-        weighted = sum(
-            depth * count for depth, count in self.load_dependence.items()
-        )
-        return weighted / total
-
     def stride_categories(self) -> Dict[str, int]:
         """Histogram of stride categories over static loads."""
         categories: Counter = Counter()

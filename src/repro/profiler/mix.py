@@ -9,7 +9,7 @@ and functional-unit contention terms of the effective dispatch rate
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -24,12 +24,6 @@ class UopMix:
     counts: Dict[UopKind, int] = field(default_factory=dict)
     num_instructions: int = 0
     num_uops: int = 0
-
-    def add_instruction(self, instr: Instruction) -> None:
-        self.num_instructions += 1
-        for kind in crack(instr.op):
-            self.counts[kind] = self.counts.get(kind, 0) + 1
-            self.num_uops += 1
 
     def merge(self, other: "UopMix") -> None:
         self.num_instructions += other.num_instructions
@@ -91,38 +85,33 @@ class UopMix:
 
 
 def profile_mix(
-    instructions: Iterable[Instruction],
+    instructions: Sequence[Instruction],
     columns: Optional[TraceColumns] = None,
 ) -> UopMix:
     """Profile the uop mix of an instruction span.
 
-    With ``columns`` (a columnar view of the same span) the mix is one
-    ``bincount`` over the macro-op codes expanded through the static
-    cracking templates -- no per-instruction loop.  The ``counts`` dict
-    is keyed in the scalar pass's insertion order (first encounter of
-    each uop kind in the cracked stream): downstream float reductions
+    The mix is one ``bincount`` over the macro-op codes expanded through
+    the static cracking templates -- no per-instruction loop.  The
+    ``counts`` dict is keyed in the order each uop kind first appears
+    in the cracked instruction stream: downstream float reductions
     iterate ``counts.items()``, so key order is part of the bitwise
     contract, not a cosmetic detail.
+
+    ``columns`` supplies a pre-built columnar view of the span; when
+    omitted it is built from (or found cached on) ``instructions``.
     """
-    if columns is not None:
-        op_counts = np.bincount(
-            columns.op, minlength=len(MacroOp)
-        ).tolist()
-        codes, first_index = np.unique(columns.op, return_index=True)
-        mix = UopMix(num_instructions=len(columns))
-        counts = mix.counts
-        # Accumulate ops by first dynamic appearance (template order
-        # within an op), so each kind is inserted exactly when the
-        # scalar loop would first insert it; the integer totals are
-        # order-independent.
-        encounter_order = np.argsort(first_index, kind="stable")
-        for code in codes[encounter_order].tolist():
-            count = op_counts[code]
-            for kind in crack(MacroOp(code)):
-                counts[kind] = counts.get(kind, 0) + count
-                mix.num_uops += count
-        return mix
-    mix = UopMix()
-    for instr in instructions:
-        mix.add_instruction(instr)
+    if columns is None:
+        columns = TraceColumns.ensure(instructions)
+    op_counts = np.bincount(columns.op, minlength=len(MacroOp)).tolist()
+    codes, first_index = np.unique(columns.op, return_index=True)
+    mix = UopMix(num_instructions=len(columns))
+    counts = mix.counts
+    # Accumulate ops by first dynamic appearance (template order within
+    # an op), so each kind is inserted at its first appearance in the
+    # cracked stream; the integer totals are order-independent.
+    for code in codes[np.argsort(first_index, kind="stable")].tolist():
+        count = op_counts[code]
+        for kind in crack(MacroOp(code)):
+            counts[kind] = counts.get(kind, 0) + count
+            mix.num_uops += count
     return mix

@@ -13,9 +13,9 @@ zero-dependency asyncio HTTP front door.  The layers, front to back:
   onto one computation;
 * :mod:`repro.serve.batch` -- compatible concurrent sweeps merge into
   one engine pass, streamed points demultiplexed per client;
-* :mod:`repro.serve.shards` -- a fingerprint-sharded
-  :class:`~repro.api.runstore.RunStore` that stays fast as the service
-  accumulates runs (legacy flat stores are read and migrated in place);
+* :class:`~repro.api.runstore.RunStore` -- the run store, with the
+  ``--max-entries`` LRU cap (``ShardedRunStore`` is the same class
+  under its older name);
 * :mod:`repro.serve.client` -- blocking stdlib client helpers
   (``repro request`` and the tests use these).
 
@@ -24,11 +24,11 @@ event loop never blocks.  Session, engine and store work runs on a
 thread-pool executor; coroutines only parse, route and fan out.
 """
 
+from repro.api.runstore import RunStore as ShardedRunStore
 from repro.serve.batch import SweepBatcher
 from repro.serve.client import ServeError, get_json, request_run
 from repro.serve.dedup import InflightTable
 from repro.serve.server import ExperimentServer, ServerThread
-from repro.serve.shards import ShardedRunStore
 
 __all__ = [
     "ExperimentServer",

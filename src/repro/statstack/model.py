@@ -121,18 +121,6 @@ class StatStack:
         self._total_reuses = float(total)
         self._total_sampled = float(total + cold)
 
-        # Survival function P(RD > j), evaluated at the distinct distances.
-        if total > 0:
-            tail = np.concatenate(
-                [counts[::-1].cumsum()[::-1][1:], [0.0]]
-            )
-            # P(RD > distances[k]) = (count of reuses with RD > distances[k]
-            #                          + cold accesses) / all sampled
-            # Cold accesses behave as infinite reuse distance.
-            self._surv_at = (tail + cold) / self._total_sampled
-        else:
-            self._surv_at = np.zeros(0)
-
         # Expected stack distance per distinct reuse distance:
         #   E[SD(d)] = sum_{j=0}^{d-1} P(RD > j)
         # P(RD > j) is a step function, constant between distinct distances,
@@ -143,30 +131,6 @@ class StatStack:
             )
         else:
             self._expected_sd = self._expected_stack_distances()
-
-    def _survival(self, j: float) -> float:
-        """P(RD > j) from the sampled histogram (cold = infinite RD)."""
-        if self._total_sampled == 0:
-            return 0.0
-        if self._distances.size == 0:
-            return (
-                (self.profile.cold_loads + self.profile.cold_stores)
-                / self._total_sampled
-            )
-        index = bisect.bisect_left(self._distances, j)
-        if index == len(self._distances):
-            cold = self.profile.cold_loads + self.profile.cold_stores
-            return cold / self._total_sampled
-        if self._distances[index] == j:
-            return float(self._surv_at[index])
-        # j below distances[index]: P(RD > j) counts everything at
-        # distances[index] and beyond, plus cold.
-        if index == 0:
-            prior_mass = 0.0
-        else:
-            prior_mass = float(self._counts[:index].sum())
-        cold = self.profile.cold_loads + self.profile.cold_stores
-        return (self._total_reuses - prior_mass + cold) / self._total_sampled
 
     def _expected_stack_distances(self) -> np.ndarray:
         """E[SD] at each distinct reuse distance (vectorized prefix sums)."""

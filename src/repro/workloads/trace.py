@@ -47,11 +47,6 @@ class TraceStats:
             return 0.0
         return self.num_uops / self.num_instructions
 
-    def uop_fraction(self, kind: UopKind) -> float:
-        if self.num_uops == 0:
-            return 0.0
-        return self.uop_mix.get(kind, 0) / self.num_uops
-
 
 class Trace:
     """An immutable dynamic instruction stream with a name and metadata."""

@@ -1,11 +1,14 @@
 """Frozen reference oracles for the differential-equivalence tests.
 
 Each module mirrors the ``src/repro`` module whose fast path it pins:
-the scalar loops here are the pre-vectorization implementations, kept
-verbatim, and the vectorized code must reproduce them bitwise (see
-``tests/equivalence.py``).  They live with the tests, not in the
-package, so the package ships one implementation per mechanism.  The
-columnar-profiler and batched-model benchmark gates
-(``benchmarks/bench_profiler.py``, ``benchmarks/bench_model_batch.py``)
-time the same oracles.
+the scalar loops here are the pre-vectorization implementations over
+``Instruction`` objects, kept verbatim, and the vectorized code must
+reproduce them bitwise (see ``tests/equivalence.py``).
+``dependences.py`` also keeps the thesis' sliding-window chain
+measurement (Algorithm 3.1), which the tests check against the thesis
+worked example and compare with the stepped windows the profiler uses.
+They live with the tests, not in the package, so the package ships
+one implementation per mechanism.  The columnar-profiler and
+batched-model benchmark gates (``benchmarks/bench_profiler.py``,
+``benchmarks/bench_model_batch.py``) time the same oracles.
 """

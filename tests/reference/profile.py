@@ -10,15 +10,10 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Sequence, Tuple
 
-from repro.frontend.entropy import profile_branch_entropy
 from repro.isa import Instruction
-from repro.profiler.dependences import (
-    DEFAULT_ROB_GRID,
-    DependenceChains,
-    profile_dependence_chains,
-)
+from repro.profiler.dependences import DEFAULT_ROB_GRID, DependenceChains
 from repro.profiler.memory import MicroTraceMemoryProfile
-from repro.profiler.mix import UopMix, profile_mix
+from repro.profiler.mix import UopMix
 from repro.profiler.profile import (
     ApplicationProfile,
     MicroTraceProfile,
@@ -28,10 +23,13 @@ from repro.profiler.sampling import SamplingConfig, iter_micro_traces
 from repro.statstack.reuse import ReuseProfile
 from repro.workloads.trace import Trace
 
+from .dependences import _profile_dependence_chains_scalar
+from .entropy import _profile_branch_entropy_scalar
 from .memory import (
     _profile_cold_misses_scalar,
     _profile_micro_trace_memory_scalar,
 )
+from .mix import _profile_mix_scalar
 
 
 def _global_reuse_pass_scalar(
@@ -179,7 +177,7 @@ def _profile_application_scalar(
         instructions, line_size
     )
     cold = _profile_cold_misses_scalar(instructions)
-    branch_entropy = profile_branch_entropy(
+    branch_entropy = _profile_branch_entropy_scalar(
         instructions, entropy_history_lengths
     )
 
@@ -190,8 +188,8 @@ def _profile_application_scalar(
 
     for start, micro in iter_micro_traces(instructions, sampling):
         window_id = start // sampling.window_length
-        mix = profile_mix(micro)
-        chains = profile_dependence_chains(micro, grid=rob_grid)
+        mix = _profile_mix_scalar(micro)
+        chains = _profile_dependence_chains_scalar(micro, grid=rob_grid)
         memory = _profile_micro_trace_memory_scalar(
             micro, line_size=line_size
         )

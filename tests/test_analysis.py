@@ -245,8 +245,8 @@ class TestAsyncSafety:
     def test_real_serve_layer_is_clean(self):
         # Linted at full-tree scope (the CI gate's scope): method-name
         # fallback edges need the whole tree in view -- scoping to
-        # serve/ alone would make every dict '.get' resolve to the one
-        # analyzed class defining 'get' (ShardedRunStore).
+        # one package alone would make every dict '.get' resolve to
+        # whichever single analyzed class there defines 'get'.
         repo_root = FIXTURES.parents[2]
         report = run_lint(["src/repro"], root=repo_root,
                           rules=["async-safety"])

@@ -200,8 +200,45 @@ class TestRunStore:
                                                     sweep_spec):
         store = RunStore(str(tmp_path / "runs"))
         store.put(RunResult(spec=sweep_spec, data={"answer": 42}))
-        entries = os.listdir(tmp_path / "runs")
-        assert entries == [os.path.basename(store.path(sweep_spec))]
+        path = store.path(sweep_spec)
+        shard = os.path.dirname(path)
+        assert os.listdir(tmp_path / "runs") == [os.path.basename(shard)]
+        assert os.listdir(shard) == [os.path.basename(path)]
+
+    def test_session_and_cli_store_under_prefix_directories(
+            self, tmp_path, sweep_spec):
+        from repro.cli import main
+
+        fingerprint = sweep_spec.fingerprint
+        entry = os.path.join(fingerprint[:2], f"{fingerprint}.run.json")
+        with Session(run_store=str(tmp_path / "session")) as session:
+            session.run(sweep_spec)
+        assert os.path.isfile(tmp_path / "session" / entry)
+
+        spec_path = str(tmp_path / "sweep.json")
+        sweep_spec.save(spec_path)
+        assert main(["run", spec_path,
+                     "--runs", str(tmp_path / "cli")]) == 0
+        assert os.path.isfile(tmp_path / "cli" / entry)
+
+    def test_session_over_capped_store_evicts_least_recent(self,
+                                                           tmp_path):
+        first, second, third = (
+            ExperimentSpec("predict", workload="gcc", instructions=3000,
+                           rob=rob)
+            for rob in (64, 96, 128))
+        store = RunStore(str(tmp_path / "runs"), max_entries=2)
+        with Session(run_store=store) as session:
+            session.run(first)
+            session.run(second)
+            assert session.run(first).cached    # first is most recent
+            session.run(third)                  # evicts second
+            assert store.evictions == 1
+            assert len(store) == 2
+            assert not os.path.exists(store.path(second))
+            assert session.run(third).cached
+            assert session.run(first).cached
+            assert not session.run(second).cached
 
     def test_session_skips_already_computed_runs(self, tmp_path,
                                                  sweep_spec):

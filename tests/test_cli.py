@@ -326,6 +326,15 @@ class TestDVFSCommand:
         assert local == engine
 
 
+class TestServeCommand:
+    def test_bad_store_cap_is_a_config_error(self, tmp_path, capsys):
+        assert main(["serve", "--runs", str(tmp_path / "runs"),
+                     "--max-entries", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "max_entries" in err
+
+
 class TestParser:
     def test_missing_command_fails(self):
         with pytest.raises(SystemExit):

@@ -26,10 +26,13 @@ from equivalence import (
     seeds as _seeds,
     traces as _traces,
 )
+from reference.dependences import _profile_dependence_chains_scalar
+from reference.entropy import _profile_branch_entropy_scalar
 from reference.memory import (
     _profile_cold_misses_scalar,
     _profile_micro_trace_memory_scalar,
 )
+from reference.mix import _profile_mix_scalar
 from reference.profile import (
     _global_reuse_pass_scalar,
     _instruction_reuse_pass_scalar,
@@ -130,21 +133,27 @@ class TestAuxiliaryEquivalence:
     @given(instrs=_traces)
     @settings(max_examples=25, deadline=None)
     def test_entropy_mix_chains_bitwise(self, instrs):
+        # Each pass is checked with pre-built columns and with the
+        # columns it builds itself from the instructions.
         columns = TraceColumns.from_instructions(instrs)
-        assert (profile_branch_entropy(instrs)
-                == profile_branch_entropy((), columns=columns))
-        scalar_mix = profile_mix(instrs)
-        columnar_mix = profile_mix((), columns=columns)
-        assert scalar_mix == columnar_mix
-        # Key order is part of the contract: the power model and
-        # average_latency() sum floats over counts.items(), so a
-        # different insertion order changes predictions in the last ulp.
-        assert list(scalar_mix.counts) == list(columnar_mix.counts)
-        scalar = profile_dependence_chains(instrs)
-        vectorized = profile_dependence_chains((), columns=columns)
-        assert scalar.ap.values == vectorized.ap.values
-        assert scalar.abp.values == vectorized.abp.values
-        assert scalar.cp.values == vectorized.cp.values
+        scalar_entropy = _profile_branch_entropy_scalar(instrs)
+        assert profile_branch_entropy((), columns=columns) == scalar_entropy
+        assert profile_branch_entropy(instrs) == scalar_entropy
+        scalar_mix = _profile_mix_scalar(instrs)
+        for columnar_mix in (profile_mix((), columns=columns),
+                             profile_mix(instrs)):
+            assert columnar_mix == scalar_mix
+            # Key order is part of the contract: the power model and
+            # average_latency() sum floats over counts.items(), so a
+            # different insertion order changes predictions in the
+            # last ulp.
+            assert list(columnar_mix.counts) == list(scalar_mix.counts)
+        scalar = _profile_dependence_chains_scalar(instrs)
+        for vectorized in (profile_dependence_chains((), columns=columns),
+                           profile_dependence_chains(instrs)):
+            assert vectorized.ap.values == scalar.ap.values
+            assert vectorized.abp.values == scalar.abp.values
+            assert vectorized.cp.values == scalar.cp.values
 
 
 class TestProfileApplicationEquivalence:

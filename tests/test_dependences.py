@@ -8,11 +8,10 @@ import math
 
 import pytest
 
+from reference.dependences import chain_lengths_exact, chain_lengths_stepped
 from repro.isa import Instruction, MacroOp
 from repro.profiler.dependences import (
     ChainProfile,
-    chain_lengths_exact,
-    chain_lengths_stepped,
     profile_dependence_chains,
 )
 
@@ -166,3 +165,8 @@ class TestProfileDependenceChains:
         chains = profile_dependence_chains(stream, grid=(16, 64, 256))
         assert chains.cp.values[16] <= chains.cp.values[64]
         assert chains.cp.values[64] <= chains.cp.values[256]
+
+    def test_sliding_windows_are_not_a_mode(self):
+        stream = [Instruction(pc=0, op=MacroOp.INT_ALU, dst=1)]
+        with pytest.raises(TypeError):
+            profile_dependence_chains(stream, exact=True)

@@ -74,9 +74,9 @@ def test_artifacts_identical_across_hash_seeds(tmp_path):
     second = _run_child(tmp_path, "31337")
     assert first == second
     # The stored run file is bitwise identical, not merely equivalent.
-    blob_a = (tmp_path / "seed-0" / "runs"
-              / f"{first['store_key']}.run.json").read_bytes()
-    blob_b = (tmp_path / "seed-31337" / "runs"
-              / f"{second['store_key']}.run.json").read_bytes()
+    key = first["store_key"]
+    entry = Path("runs") / key[:2] / f"{key}.run.json"
+    blob_a = (tmp_path / "seed-0" / entry).read_bytes()
+    blob_b = (tmp_path / "seed-31337" / entry).read_bytes()
     assert blob_a == blob_b
     assert hashlib.sha256(blob_a).hexdigest() == first["store_sha256"]

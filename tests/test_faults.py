@@ -286,13 +286,15 @@ class TestSupervisedPool:
     @needs_mp
     def test_supervised_matches_unsupervised(self):
         tasks = list(range(12))
-        with WorkerPool(2, supervised=False) as plain:
-            expected = list(plain.imap(_scale, 5, tasks))
         with WorkerPool(2) as supervised:
             got = list(supervised.imap(_scale, 5, tasks))
-        assert got == expected == [5 * t for t in tasks]
+        assert got == [5 * t for t in tasks]
         assert supervised.retries == 0
         assert supervised.restarts == 0
+
+    def test_supervision_cannot_be_switched_off(self):
+        with pytest.raises(TypeError):
+            WorkerPool(2, supervised=False)
 
     @needs_mp
     def test_recovers_from_injected_chaos(self, monkeypatch):
@@ -498,7 +500,7 @@ class TestStoreInjection:
             assert chaotic.run_store.corrupt >= 1
             assert chaotic.run_store.quarantined >= 1
         assert any(name.endswith(".corrupt")
-                   for name in os.listdir(store))
+                   for _, _, names in os.walk(store) for name in names)
         assert _strip(first.to_dict()) == _strip(second.to_dict())
 
 

@@ -1,10 +1,10 @@
 """Batched model kernel: bitwise equivalence vs the scalar oracle.
 
-``IntervalModel.predict_batch`` / ``PowerModel.evaluate_batch`` must
-reproduce the per-config ``predict`` loop (``tests/reference/model.py``)
-*bitwise* -- same CPI and power stacks (values and key order), same
-window breakdowns, same :class:`ModelCache` contents, same DesignPoint
-streams at any chunk size and worker count.  Hypothesis drives random
+``AnalyticalModel.predict_batch`` must reproduce the per-config
+``predict`` loop (``tests/reference/model.py``) *bitwise* -- same CPI
+and power stacks (values and key order), same window breakdowns, same
+:class:`ModelCache` contents, same DesignPoint streams at any chunk
+size and worker count.  Hypothesis drives random
 (profile, config batch) pairs through both via the shared harness in
 ``equivalence.py``; unit tests pin cache hit/miss behaviour, engine
 chunking corners, and that the old backend knob stays gone.

@@ -5,13 +5,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference.dependences import chain_lengths_exact, chain_lengths_stepped
 from repro.core import AnalyticalModel, nehalem
 from repro.core.dispatch import effective_dispatch_rate
 from repro.isa import Instruction, MacroOp, UopKind, crack
-from repro.profiler.dependences import (
-    chain_lengths_exact,
-    chain_lengths_stepped,
-)
 from repro.profiler.mix import profile_mix
 from repro.workloads.generator import (
     AluSpec,

@@ -1,4 +1,4 @@
-"""Service-layer tests: protocol units, the sharded store, request
+"""Service-layer tests: protocol units, the run store, request
 coalescing, sweep batching/streaming determinism, disconnect isolation,
 graceful drain, and the chaos leg's bitwise-identity contract.
 
@@ -15,6 +15,8 @@ import threading
 
 import pytest
 
+import repro.api
+import repro.serve
 from repro.api import ExperimentSpec, Session
 from repro.api.runstore import RunStore
 from repro.faults import RetryPolicy, inject
@@ -22,7 +24,6 @@ from repro.serve import (
     InflightTable,
     ServeError,
     ServerThread,
-    ShardedRunStore,
     get_json,
     request_run,
 )
@@ -136,7 +137,7 @@ def _make_result(tag):
 
 class TestShardedRunStore:
     def test_put_lands_in_the_shard_directory(self, tmp_path):
-        store = ShardedRunStore(str(tmp_path / "runs"))
+        store = RunStore(str(tmp_path / "runs"))
         result = _make_result(0)
         key = store.put(result)
         assert os.path.exists(os.path.join(
@@ -144,24 +145,24 @@ class TestShardedRunStore:
         assert store.get(result.spec).data == {"tag": 0}
         assert result.spec in store
 
-    def test_legacy_flat_entries_are_read_and_migrated(self, tmp_path):
+    def test_flat_entries_are_plain_misses_left_untouched(self, tmp_path):
         root = str(tmp_path / "runs")
-        flat = RunStore(root)
         result = _make_result(1)
-        key = flat.put(result)
-        flat_path = os.path.join(root, f"{key}.run.json")
+        os.makedirs(root)
+        flat_path = os.path.join(root,
+                                 f"{result.spec.fingerprint}.run.json")
+        result.save(flat_path)
+        store = RunStore(root, max_entries=1)
+        assert len(store) == 0
+        assert result.spec not in store
+        assert store.get(result.spec) is None
+        store.put(_make_result(2))
+        store.put(_make_result(3))
+        assert store.evictions == 1
         assert os.path.exists(flat_path)
 
-        sharded = ShardedRunStore(root)
-        assert result.spec in sharded
-        fetched = sharded.get(result.spec)
-        assert fetched.data == {"tag": 1}
-        assert not os.path.exists(flat_path)
-        assert os.path.exists(sharded.path(key))
-        assert sharded.migrations == 1
-
     def test_lru_cap_evicts_least_recently_used(self, tmp_path):
-        store = ShardedRunStore(str(tmp_path / "runs"), max_entries=2)
+        store = RunStore(str(tmp_path / "runs"), max_entries=2)
         first, second, third = (_make_result(i) for i in range(3))
         store.put(first)
         store.put(second)
@@ -175,9 +176,9 @@ class TestShardedRunStore:
 
     def test_recency_seed_is_deterministic(self, tmp_path):
         root = str(tmp_path / "runs")
-        writer = ShardedRunStore(root)
+        writer = RunStore(root)
         keys = [writer.put(_make_result(i)) for i in range(4)]
-        reopened = ShardedRunStore(root, max_entries=4)
+        reopened = RunStore(root, max_entries=4)
         assert len(reopened) == 4
         reopened.put(_make_result(99))  # evicts sorted-first key
         survivor_keys = sorted(keys)[1:]
@@ -188,9 +189,14 @@ class TestShardedRunStore:
 
     def test_invalid_parameters_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            ShardedRunStore(str(tmp_path), shard_width=0)
-        with pytest.raises(ValueError):
-            ShardedRunStore(str(tmp_path), max_entries=0)
+            RunStore(str(tmp_path), max_entries=0)
+
+    def test_serve_name_is_the_run_store(self):
+        assert repro.serve.ShardedRunStore is repro.api.RunStore
+
+    def test_shard_width_is_not_a_parameter(self, tmp_path):
+        with pytest.raises(TypeError):
+            repro.serve.ShardedRunStore(str(tmp_path), shard_width=2)
 
 
 class TestRunStoreCounterSafety:
@@ -198,7 +204,7 @@ class TestRunStoreCounterSafety:
         """The counter-race regression: N threads hammering one store
         must account every hit/miss/put exactly (lock-guarded
         ``_count``), and every put must land readable."""
-        store = ShardedRunStore(str(tmp_path / "runs"))
+        store = RunStore(str(tmp_path / "runs"))
         per_thread, n_threads = 8, 6
         results = [_make_result(i) for i in range(per_thread)]
 
@@ -271,8 +277,8 @@ class TestInflightTable:
 
 @pytest.fixture()
 def serve(tmp_path):
-    """A server thread over a fresh session + sharded store."""
-    store = ShardedRunStore(str(tmp_path / "runs"))
+    """A server thread over a fresh session + run store."""
+    store = RunStore(str(tmp_path / "runs"))
     session = Session(workers=1, run_store=store)
     with ServerThread(session, port=0) as thread:
         yield thread
@@ -317,7 +323,7 @@ class TestCoalescing:
         assert stats["server"]["computations"] == 1
 
     def test_compatible_sweeps_merge_into_one_engine_pass(self, tmp_path):
-        store = ShardedRunStore(str(tmp_path / "runs"))
+        store = RunStore(str(tmp_path / "runs"))
         session = Session(workers=1, run_store=store)
         # A wide batch window so both arrivals reliably share a round.
         with ServerThread(session, port=0, batch_window=0.75) as thread:
@@ -356,7 +362,7 @@ class TestCoalescing:
 
 def _streamed_sweep(tmp_path, tag, spec=SWEEP_TWO, batch_window=0.02):
     """One cold streamed sweep on a fresh server; returns (points, reply)."""
-    store = ShardedRunStore(str(tmp_path / f"runs-{tag}"))
+    store = RunStore(str(tmp_path / f"runs-{tag}"))
     session = Session(workers=1, run_store=store)
     points = []
     with ServerThread(session, port=0,
@@ -432,7 +438,7 @@ class TestServiceSurface:
             "enabled": False}
 
     def test_graceful_drain_finishes_inflight_work(self, tmp_path):
-        store = ShardedRunStore(str(tmp_path / "runs"))
+        store = RunStore(str(tmp_path / "runs"))
         session = Session(workers=1, run_store=store)
         thread = ServerThread(session, port=0)
         thread.__enter__()
@@ -470,7 +476,7 @@ class TestChaosServe:
                            CI_CHAOS_SPEC or DEFAULT_CHAOS_SPEC)
         monkeypatch.setenv(inject.ENV_SEED, CI_CHAOS_SEED)
         inject.refresh()
-        store = ShardedRunStore(str(tmp_path / "runs-chaos"))
+        store = RunStore(str(tmp_path / "runs-chaos"))
         retry = RetryPolicy(max_attempts=6, timeout=30,
                             backoff_base=0.001, backoff_max=0.01)
         session = Session(workers=1, run_store=store, retry=retry)
