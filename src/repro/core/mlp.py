@@ -369,8 +369,17 @@ def stride_mlp(
             float(max(config.mshr_entries, 1)),
         )
 
-    for start in range(0, stream.length, rob):
-        end = start + rob
+    # One pass buckets the missing loads by ROB window, keeping stream
+    # order within a window; windows without a miss contribute nothing.
+    num_windows = -(-stream.length // rob)
+    windows: Dict[int, List[VirtualLoad]] = {}
+    for load in stream.loads:
+        if load.miss_weight > 0.0:
+            index = load.position // rob
+            if 0 <= index < num_windows:
+                windows.setdefault(index, []).append(load)
+
+    for index in sorted(windows):
         weight = 0.0
         # Group the window's misses by static load: a serialized chain
         # (pointer chase) keeps one miss outstanding no matter how many of
@@ -380,27 +389,20 @@ def stride_mlp(
         # internally serial.
         per_pc_weight: Dict[int, float] = {}
         per_pc_independence: Dict[int, float] = {}
-        for load in stream.loads:
-            if start <= load.position < end and load.miss_weight > 0.0:
-                weight += load.miss_weight
-                per_pc_weight[load.pc] = (
-                    per_pc_weight.get(load.pc, 0.0) + load.miss_weight
-                )
-                per_pc_independence[load.pc] = load.independence
-        if weight > 0.0:
-            independent = 0.0
-            raw_independent = 0.0  # chain-free miss mass only
-            for pc, m_pc in per_pc_weight.items():
-                head = min(m_pc, 1.0)
-                tail = max(m_pc - 1.0, 0.0)
-                chain_independence = per_pc_independence[pc]
-                independent += head + tail * chain_independence
-                raw_independent += m_pc * chain_independence
-            independent = max(independent, 1.0)
-            window_misses.append(weight)
-            window_independent.append(
-                max(independent, pipeline_global, 1.0)
+        for load in windows[index]:
+            weight += load.miss_weight
+            per_pc_weight[load.pc] = (
+                per_pc_weight.get(load.pc, 0.0) + load.miss_weight
             )
+            per_pc_independence[load.pc] = load.independence
+        independent = 0.0
+        for pc, m_pc in per_pc_weight.items():
+            head = min(m_pc, 1.0)
+            tail = max(m_pc - 1.0, 0.0)
+            independent += head + tail * per_pc_independence[pc]
+        independent = max(independent, 1.0)
+        window_misses.append(weight)
+        window_independent.append(max(independent, pipeline_global, 1.0))
 
     if not window_misses:
         return MLPResult(mlp=1.0, llc_misses=stream.total_miss_weight)

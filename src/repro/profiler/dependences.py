@@ -23,8 +23,9 @@ arbitrary ROB sizes with the thesis' logarithmic fit (§5.2, Eq 5.2).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -128,6 +129,31 @@ class ChainStats:
     cp: float
 
 
+class _LogFit(NamedTuple):
+    """Per-segment log fits of one :class:`ChainProfile` (thesis Eq 5.2).
+
+    Segment ``i`` spans ``sizes[i]..sizes[i + 1]`` and interpolates as
+    ``a[i] + b[i] * log(ROB)``.
+    """
+
+    sizes: Tuple[int, ...]
+    a: Tuple[float, ...]
+    b: Tuple[float, ...]
+
+
+def _log_fit(values: Dict[int, float]) -> _LogFit:
+    """Fit every segment between consecutive profiled (positive) sizes."""
+    sizes = tuple(sorted(values))
+    a: List[float] = []
+    b: List[float] = []
+    for low, high in zip(sizes, sizes[1:]):
+        v_low, v_high = values[low], values[high]
+        slope = (v_high - v_low) / (math.log(high) - math.log(low))
+        b.append(slope)
+        a.append(v_low - slope * math.log(low))
+    return _LogFit(sizes, tuple(a), tuple(b))
+
+
 @dataclass
 class ChainProfile:
     """One chain statistic over the profiled window-size grid.
@@ -135,30 +161,42 @@ class ChainProfile:
     ``at(rob)`` interpolates between profiled sizes with the logarithmic
     fit of thesis Eq 5.2 (``length = a + b * log(ROB)``), fitted segment
     by segment as the thesis does (§5.2: per-pair fits beat a global fit).
+
+    The segment fits are computed on the first ``at`` between profiled
+    sizes and kept on the profile, so they are freed with it.  They are
+    a function of ``values``: assigning ``values`` drops them, and
+    ``values`` is replaced, never edited in place, once it is queried.
     """
 
     values: Dict[int, float] = field(default_factory=dict)
 
+    #: The :class:`_LogFit` of ``values`` once built (not a field).
+    _fit = None
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if name == "values":
+            self.__dict__.pop("_fit", None)
+        object.__setattr__(self, name, value)
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The fit is derived; pickles carry only the values.
+        return {"values": self.values}
+
     def at(self, rob: int) -> float:
-        if not self.values:
+        values = self.values
+        if not values:
             return 1.0
-        sizes = sorted(self.values)
-        if rob in self.values:
-            return self.values[rob]
-        if rob <= sizes[0]:
-            low, high = sizes[0], sizes[1] if len(sizes) > 1 else sizes[0]
-        elif rob >= sizes[-1]:
-            low = sizes[-2] if len(sizes) > 1 else sizes[-1]
-            high = sizes[-1]
-        else:
-            high = min(s for s in sizes if s > rob)
-            low = max(s for s in sizes if s < rob)
-        if low == high:
-            return self.values[low]
-        v_low, v_high = self.values[low], self.values[high]
-        b = (v_high - v_low) / (math.log(high) - math.log(low))
-        a = v_low - b * math.log(low)
-        value = a + b * math.log(max(rob, 1))
+        if rob in values:
+            return values[rob]
+        fit = self._fit
+        if fit is None:
+            fit = self._fit = _log_fit(values)
+        sizes = fit.sizes
+        if len(sizes) == 1:
+            return values[sizes[0]]
+        # Below the grid the first segment extrapolates, above it the last.
+        segment = min(max(bisect_left(sizes, rob) - 1, 0), len(sizes) - 2)
+        value = fit.a[segment] + fit.b[segment] * math.log(max(rob, 1))
         return max(value, 0.0)
 
 
@@ -203,7 +241,6 @@ def profile_dependence_chains(
     """
     if columns is None:
         columns = TraceColumns.ensure(instructions)
-    chains = DependenceChains(grid=tuple(grid))
     src1 = columns.src1.tolist()
     src2 = columns.src2.tolist()
     dst = columns.dst.tolist()
@@ -215,11 +252,17 @@ def profile_dependence_chains(
             int(columns.src1.max()), int(columns.src2.max()),
             int(columns.dst.max()), 0,
         )
+    ap: Dict[int, float] = {}
+    abp: Dict[int, float] = {}
+    cp: Dict[int, float] = {}
     for size in grid:
         stats = _stepped_chain_stats(
             src1, src2, dst, branch_positions, n, size, num_regs
         )
-        chains.ap.values[size] = stats.ap
-        chains.abp.values[size] = stats.abp
-        chains.cp.values[size] = stats.cp
-    return chains
+        ap[size] = stats.ap
+        abp[size] = stats.abp
+        cp[size] = stats.cp
+    return DependenceChains(
+        ap=ChainProfile(ap), abp=ChainProfile(abp), cp=ChainProfile(cp),
+        grid=tuple(grid),
+    )

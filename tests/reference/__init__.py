@@ -6,7 +6,11 @@ the scalar loops here are the pre-vectorization implementations over
 reproduce them bitwise (see ``tests/equivalence.py``).
 ``dependences.py`` also keeps the thesis' sliding-window chain
 measurement (Algorithm 3.1), which the tests check against the thesis
-worked example and compare with the stepped windows the profiler uses.
+worked example and compare with the stepped windows the profiler uses,
+plus the chain interpolation that refitted its segment on every call.
+``branch.py`` and ``mlp.py`` keep the model helpers' plain loops (the
+leaky bucket stepped to the end of the interval, the per-window rescan
+of the virtual stream) that the bounded-cost helpers must match.
 They live with the tests, not in the package, so the package ships
 one implementation per mechanism.  The columnar-profiler and
 batched-model benchmark gates (``benchmarks/bench_profiler.py``,

@@ -5,15 +5,20 @@ the window one instruction at a time, O(N*B).  :func:`chain_lengths_stepped`
 steps the window (non-overlapping) over ``Instruction`` objects -- the
 pre-columnar implementation of the production pass, which
 :func:`repro.profiler.profile_dependence_chains` must match bitwise.
+:func:`chain_profile_at` is the interpolation ``ChainProfile.at`` did
+before it kept its segment fits, which the fitted lookup must match
+bitwise.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Sequence
 
 from repro.isa import Instruction
 from repro.profiler.dependences import (
     DEFAULT_ROB_GRID,
+    ChainProfile,
     ChainStats,
     DependenceChains,
 )
@@ -118,3 +123,28 @@ def _profile_dependence_chains_scalar(
         chains.abp.values[size] = stats.abp
         chains.cp.values[size] = stats.cp
     return chains
+
+
+def chain_profile_at(profile: ChainProfile, rob: int) -> float:
+    """``ChainProfile.at`` refitting its segment on every call (verbatim)."""
+    self = profile
+    if not self.values:
+        return 1.0
+    sizes = sorted(self.values)
+    if rob in self.values:
+        return self.values[rob]
+    if rob <= sizes[0]:
+        low, high = sizes[0], sizes[1] if len(sizes) > 1 else sizes[0]
+    elif rob >= sizes[-1]:
+        low = sizes[-2] if len(sizes) > 1 else sizes[-1]
+        high = sizes[-1]
+    else:
+        high = min(s for s in sizes if s > rob)
+        low = max(s for s in sizes if s < rob)
+    if low == high:
+        return self.values[low]
+    v_low, v_high = self.values[low], self.values[high]
+    b = (v_high - v_low) / (math.log(high) - math.log(low))
+    a = v_low - b * math.log(low)
+    value = a + b * math.log(max(rob, 1))
+    return max(value, 0.0)

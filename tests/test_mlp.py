@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference.mlp import stride_mlp_scalar
 from repro.core.machine import MachineConfig
 from repro.core.memory_model import bus_queue_cycles, mshr_soft_cap
 from repro.core.mlp import (
@@ -243,3 +244,53 @@ class TestStrideMLP:
         without = build_virtual_stream(memory, statstack, base)
         with_pf = build_virtual_stream(memory, statstack, pf)
         assert with_pf.total_miss_weight < without.total_miss_weight
+
+
+virtual_loads = st.builds(
+    VirtualLoad,
+    position=st.integers(min_value=-8, max_value=3000),
+    pc=st.integers(min_value=0, max_value=7),
+    miss_weight=st.one_of(st.just(0.0), st.just(1.0),
+                          st.floats(min_value=0.0, max_value=1.0)),
+    independence=st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+class TestStrideMLPOracle:
+    """The one-pass window scan equals the per-window rescan bitwise."""
+
+    @given(
+        loads=st.lists(virtual_loads, max_size=200),
+        length=st.integers(min_value=0, max_value=2500),
+        rob=st.integers(min_value=8, max_value=512),
+        mshrs=st.integers(min_value=1, max_value=32),
+        deff=st.floats(min_value=0.5, max_value=8.0),
+        ordered=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_streams(self, loads, length, rob, mshrs, deff, ordered):
+        if ordered:
+            loads = sorted(loads, key=lambda load: load.position)
+        stream = VirtualStream(loads=loads, length=length)
+        config = MachineConfig(rob_size=rob, mshr_entries=mshrs)
+        assert repr(stride_mlp(stream, {}, config, deff=deff)) == repr(
+            stride_mlp_scalar(stream, {}, config, deff=deff)
+        )
+
+    @pytest.mark.parametrize("name", ["gcc", "mcf", "libquantum", "gamess"])
+    def test_fixture_profiles(self, name, request):
+        profile = request.getfixturevalue(f"{name}_profile")
+        statstack = profile.statstack()
+        for rob in (64, 128, 256):
+            for prefetch in (False, True):
+                config = MachineConfig(rob_size=rob, prefetch=prefetch)
+                for micro in profile.micro_traces:
+                    stream = build_virtual_stream(
+                        micro.memory, statstack, config,
+                        load_reuse_by_pc=micro.load_reuse_by_pc,
+                        cold_by_pc=micro.cold_by_pc,
+                    )
+                    f_l = micro.memory.load_dependence_distribution()
+                    assert repr(stride_mlp(stream, f_l, config)) == repr(
+                        stride_mlp_scalar(stream, f_l, config)
+                    )
