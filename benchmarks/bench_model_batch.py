@@ -5,9 +5,9 @@ Acceptance check for the batched (structure-of-arrays) model kernel on
 a >= 10k-configuration design grid:
 
 * ``AnalyticalModel.predict_batch`` must be at least **5x faster** than
-  the scalar oracle -- a ``model.predict`` loop over the same configs
-  (``tests/reference/model.py``) -- over the full grid (fresh model +
-  ``ModelCache`` per run, best of three);
+  the scalar oracle -- its per-config walk of the model equations over
+  the same configs (``tests/reference/model.py``) -- over the full grid
+  (fresh model + ``ModelCache`` per run, best of three);
 * the results must be **bitwise identical**: every CPI stack, window
   breakdown, activity vector, power stack and energy/EDP/ED2P scalar,
   plus the set of :class:`ModelCache` keys both leave behind, and the

@@ -7,7 +7,9 @@ faster wall-clock than the historical serial ``evaluate_design_space``
 loop while producing bitwise-identical design points.
 
 The baseline below is a verbatim transcription of the pre-engine
-implementation (a nested ``model.predict`` loop with no caches); both
+implementation: a nested per-config loop with no caches, through the
+scalar model oracle (``tests/reference/model.py``), since
+``model.predict`` now runs the batched kernel the engine uses.  Both
 paths start from freshly deserialized profiles so neither benefits from
 in-memory state built by the other.
 
@@ -35,6 +37,8 @@ from repro.profiler.serialization import ProfileStore
 from repro.workloads import generate_trace, make_workload
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
+from tests.reference.model import predict_scalar
 WORKLOADS = ["gcc", "gamess", "mcf", "libquantum"]
 INSTRUCTIONS = 20_000
 SAMPLING = SamplingConfig(1000, 5000)
@@ -47,7 +51,7 @@ def legacy_serial_sweep(profiles, configs):
     for profile in profiles:
         points = []
         for config in configs:
-            points.append(model.predict(profile, config))
+            points.append(predict_scalar(model, profile, config))
         results[profile.name] = points
     return results
 

@@ -8,7 +8,7 @@ Acceptance checks for the ``repro serve`` layer (:mod:`repro.serve`):
   coalesce in flight or hit the store the one computation warmed);
 * **warm latency** -- once the store is warm, the median round-trip for
   a non-streaming request must stay under **50 ms** (the store
-  pre-check path must never wait behind the batch window);
+  pre-check answers before any computation is queued);
 * **store lookups** -- direct :class:`~repro.api.runstore.RunStore`
   lookups must stay flat as the store grows 10x (300 -> 3000 entries):
   the mean per-lookup time may grow by at most **2.5x** (flat-directory

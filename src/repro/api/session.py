@@ -38,10 +38,12 @@ Examples
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import threading
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Union)
 
 from repro import obs
 from repro.api.pool import WorkerPool
@@ -56,7 +58,7 @@ from repro.faults import inject
 from repro.faults.policy import RetryPolicy
 from repro.profiler.serialization import ProfileStore
 
-__all__ = ["Session", "config_from_overrides", "sweep_payload"]
+__all__ = ["Session", "config_from_overrides"]
 
 logger = logging.getLogger(__name__)
 
@@ -117,84 +119,6 @@ def _point_dict(point) -> Dict[str, float]:
         "energy_joules": point.energy_joules,
         "edp": point.edp,
         "ed2p": point.ed2p,
-    }
-
-
-def sweep_payload(
-    names: Sequence[str],
-    results: Mapping[str, list],
-    frontiers: Mapping[str, Any],
-    space_name: str,
-    n_configs: int,
-    objective: Optional[str],
-) -> Dict[str, Any]:
-    """Assemble the canonical sweep result payload from streamed points.
-
-    The single assembly routine behind every sweep result: the
-    session's :meth:`Session.run` path and the ``repro serve``
-    micro-batcher (which merges several sweep specs into one engine
-    pass) both build their payloads here, so a batched request's stored
-    result is bitwise identical to the same spec run solo.
-
-    Parameters
-    ----------
-    names:
-        Workload names in the spec's profile order (payload order is
-        part of the stored bytes).
-    results:
-        Per-workload :class:`~repro.explore.dse.DesignPoint` lists in
-        config order.
-    frontiers:
-        Per-workload :class:`~repro.explore.pareto.StreamingParetoFront`
-        fed the same points.
-    space_name:
-        The swept :class:`~repro.explore.space.DesignSpace` name.
-    n_configs:
-        Number of configurations evaluated (after ``limit``).
-    objective:
-        Optional objective name ranking the best average config.
-
-    Returns
-    -------
-    dict
-        The ``sweep`` kind's result payload.
-    """
-    from repro.explore.dse import best_average_config
-    from repro.explore.search import get_objective
-
-    workloads = [
-        {
-            "workload": name,
-            "points": [_point_dict(p) for p in results[name]],
-            "frontier": [
-                _point_dict(point) for _, _, point
-                in frontiers[name].frontier()
-            ],
-        }
-        for name in names
-    ]
-    own_results = {name: results[name] for name in names}
-    best_average = None
-    if n_configs:
-        if objective:
-            ranked = get_objective(objective)
-            best_average = {
-                "objective": ranked.name,
-                "config": best_average_config(
-                    own_results, metric=ranked.metric
-                ),
-            }
-        elif len(names) > 1:
-            # Historical default: rank by average CPI.
-            best_average = {
-                "objective": None,
-                "config": best_average_config(own_results),
-            }
-    return {
-        "space": space_name,
-        "n_configs": n_configs,
-        "workloads": workloads,
-        "best_average": best_average,
     }
 
 
@@ -459,7 +383,9 @@ class Session:
         )
 
     def run(
-        self, spec: Union[ExperimentSpec, Mapping[str, Any]]
+        self,
+        spec: Union[ExperimentSpec, Mapping[str, Any]],
+        on_point: Optional[Callable[[Any], None]] = None,
     ) -> RunResult:
         """Execute one experiment (or serve it from the run store).
 
@@ -468,6 +394,12 @@ class Session:
         spec:
             An :class:`ExperimentSpec` or a plain ``{"kind": ...,
             "params": {...}}`` mapping.
+        on_point:
+            Optional callback for a ``sweep`` that computes: called once
+            per :class:`~repro.explore.dse.DesignPoint`, in engine order,
+            as the engine yields it (on the calling thread, under
+            :attr:`lock`).  Never called on a store hit or for other
+            kinds.  ``repro serve`` streams NDJSON partials through it.
 
         Returns
         -------
@@ -485,7 +417,7 @@ class Session:
             baseline = (telemetry.metrics.snapshot()
                         if telemetry.metrics.enabled else None)
             with telemetry.span("session.run", kind=spec.kind):
-                result = self._execute(spec)
+                result = self._execute(spec, on_point)
                 self._flush_collectors()
             self._attach_telemetry(result, start_events, baseline)
         return result
@@ -498,7 +430,7 @@ class Session:
         ``None`` when no store is attached, the kind is not cacheable,
         or the store misses.  A hit is marked ``cached`` exactly like
         the :meth:`run` warm path -- the service layer answers warm
-        requests through here so they never wait behind the batcher.
+        requests through here before it queues a computation.
         """
         spec = ExperimentSpec.coerce(spec)
         if self.run_store is None or spec.kind not in _CACHEABLE_KINDS:
@@ -511,7 +443,11 @@ class Session:
             cached.cached = True
         return cached
 
-    def _execute(self, spec: ExperimentSpec) -> RunResult:
+    def _execute(
+        self,
+        spec: ExperimentSpec,
+        on_point: Optional[Callable[[Any], None]] = None,
+    ) -> RunResult:
         """Serve one coerced spec from the run store or compute it."""
         cacheable = (self.run_store is not None
                      and spec.kind in _CACHEABLE_KINDS)
@@ -523,6 +459,8 @@ class Session:
                 cached.cached = True
                 return cached
         runner = getattr(self, f"_run_{spec.kind}")
+        if spec.kind == "sweep":
+            runner = functools.partial(runner, on_point=on_point)
         with obs.span(f"run.{spec.kind}"):
             result = RunResult(spec=spec, data=runner(spec.params))
         if cacheable:
@@ -699,9 +637,15 @@ class Session:
             "cpi_stack": result.cpi_stack(),
         }
 
-    def _run_sweep(self, params: Mapping[str, Any]) -> Dict[str, Any]:
+    def _run_sweep(
+        self,
+        params: Mapping[str, Any],
+        on_point: Optional[Callable[[Any], None]] = None,
+    ) -> Dict[str, Any]:
         """Sweep a design space; per-workload points + Pareto fronts."""
+        from repro.explore.dse import best_average_config
         from repro.explore.pareto import StreamingParetoFront
+        from repro.explore.search import get_objective
 
         profiles = self._gather_profiles(params)
         names = [p.name for p in profiles]
@@ -717,13 +661,48 @@ class Session:
         if params["limit"] is not None:
             configs = configs[:params["limit"]]
 
-        frontiers = {p.name: StreamingParetoFront() for p in profiles}
-        results = {p.name: [] for p in profiles}
+        frontiers = {name: StreamingParetoFront() for name in names}
+        results: Dict[str, list] = {name: [] for name in names}
         for point in self.engine.iter_sweep(profiles, configs):
             results[point.workload].append(point)
             frontiers[point.workload].add_point(point)
-        return sweep_payload(names, results, frontiers, space.name,
-                             len(configs), params["objective"])
+            if on_point is not None:
+                on_point(point)
+
+        workloads = [
+            {
+                "workload": name,
+                "points": [_point_dict(p) for p in results[name]],
+                "frontier": [
+                    _point_dict(point) for _, _, point
+                    in frontiers[name].frontier()
+                ],
+            }
+            for name in names
+        ]
+        best_average = None
+        objective = params["objective"]
+        if configs:
+            if objective:
+                ranked = get_objective(objective)
+                best_average = {
+                    "objective": ranked.name,
+                    "config": best_average_config(
+                        results, metric=ranked.metric
+                    ),
+                }
+            elif len(names) > 1:
+                # Historical default: rank by average CPI.
+                best_average = {
+                    "objective": None,
+                    "config": best_average_config(results),
+                }
+        return {
+            "space": space.name,
+            "n_configs": len(configs),
+            "workloads": workloads,
+            "best_average": best_average,
+        }
 
     def _run_search(self, params: Mapping[str, Any]) -> Dict[str, Any]:
         """Guided search over a space under an evaluation budget."""

@@ -497,8 +497,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         session, args.host, args.port,
         max_queue=args.max_queue,
         request_timeout=args.request_timeout,
-        batch_window=args.batch_window,
-        max_batch=args.max_batch,
         drain_timeout=args.drain_timeout,
     )
 
@@ -873,7 +871,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser(
         "serve",
         help="serve experiments over HTTP from one warm session "
-             "(dedup, sweep batching, sharded run store)")
+             "(dedup, streamed sweeps, sharded run store)")
     sub.add_argument("--host", default="127.0.0.1",
                      help="bind address (default: 127.0.0.1)")
     sub.add_argument("--port", type=int, default=8765,
@@ -898,17 +896,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="per-request deadline; 504 on expiry while "
                           "the computation still warms the store "
                           "(default: none)")
-    sub.add_argument("--batch-window", type=float, default=0.05,
-                     metavar="SEC",
-                     help="how long a sweep waits for compatible "
-                          "sweeps to merge with (default: 0.05)")
-    sub.add_argument("--max-batch", type=int, default=16, metavar="N",
-                     help="sweep specs per merged engine pass "
-                          "(default: 16)")
     sub.add_argument("--drain-timeout", type=float, default=10.0,
                      metavar="SEC",
                      help="seconds SIGTERM/SIGINT waits for in-flight "
-                          "requests (default: 10)")
+                          "requests; idle connections close at once "
+                          "(default: 10)")
     sub.set_defaults(func=cmd_serve)
 
     sub = subparsers.add_parser(

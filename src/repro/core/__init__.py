@@ -5,13 +5,17 @@ Usage sketch::
 
     from repro.workloads import make_workload, generate_trace
     from repro.profiler import profile_application
-    from repro.core import AnalyticalModel, nehalem
+    from repro.core import AnalyticalModel, design_space, nehalem
 
     trace = generate_trace(make_workload("gcc"), max_instructions=100_000)
     profile = profile_application(trace)          # one-time cost
     model = AnalyticalModel()
-    prediction = model.predict(profile, nehalem())  # per-config, fast
+    prediction = model.predict(profile, nehalem())  # a one-config batch
     print(prediction.cpi, prediction.cpi_stack, prediction.power_watts)
+    results = model.predict_batch(profile, design_space())  # 243 configs
+
+Every prediction runs the batched kernel (:mod:`repro.core.batch`); a
+config batch costs far less per config than one config alone.
 """
 
 from repro.core.machine import (

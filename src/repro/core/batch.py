@@ -1,11 +1,13 @@
 """Batched (structure-of-arrays) evaluation of the analytical model.
 
 One profile evaluated against *N* machine configurations at once, as a
-single array program.  This is the model-side counterpart of the
-columnar profiler (PR 4): the scalar walk in
-:meth:`~repro.core.interval.IntervalModel.predict` stays the reference
-implementation, and this module reproduces it **bitwise** for a whole
-:class:`BatchConfigs` batch per call.
+single array program.  This is the model's only evaluation path:
+:meth:`~repro.core.interval.IntervalModel.predict` and
+:meth:`~repro.core.model.AnalyticalModel.predict` are one-config batches
+through it.  The per-configuration walk of the same equations is the
+reference oracle in ``tests/reference/model.py``, and this module
+reproduces it **bitwise** for a whole :class:`BatchConfigs` batch per
+call.
 
 Bitwise parity is achieved by construction, not by tolerance:
 
@@ -13,25 +15,27 @@ Bitwise parity is achieved by construction, not by tolerance:
   StatStack miss ratios, virtual streams, stride/cold MLP) is computed
   by calling the *same scalar helper* exactly once per unique
   dependency-key group -- using the exact :class:`ModelCache` keys the
-  scalar path uses -- and scattered to configurations through inverse
-  index arrays.  A cache warmed by either path therefore serves the
+  oracle uses -- and scattered to configurations through inverse
+  index arrays.  A cache warmed by either therefore serves the
   other, and both leave the identical key -> value mapping behind.
-* The remaining glue arithmetic is vectorized with NumPy elementwise
-  float64 operations in the *identical operation order* as the scalar
-  code (IEEE-754 elementwise ops are bit-identical to CPython floats).
+* The remaining glue arithmetic -- including the Eq 4.4 MSHR cap and
+  the Eqs 4.7--4.12 chain penalty of :mod:`repro.core.memory_model` --
+  is vectorized with NumPy elementwise float64 operations in the
+  *identical operation order* as the scalar oracle (IEEE-754
+  elementwise ops are bit-identical to CPython floats).
   Conditional accumulations become masked adds of ``0.0`` (exact on the
   non-negative accumulators used here), and scalar-int/float mixing
   maps to int64/float64 array promotion (also exact).
 * Results are materialized back to Python floats via ``ndarray.tolist``
   (bit-preserving), so downstream JSON serialization and dataclass
-  ``==`` comparisons behave exactly as with the scalar path.
+  ``==`` comparisons behave exactly as with the oracle.
 * Configs that differ only along axes the interval equation never
   reads (L1D size, frequency, Vdd) share their window lists and stack
   dicts: the values are bitwise identical by construction, so ``==``
   and serialization cannot tell shared from copied sub-structure.  The
   aliasing contract is that returned predictions are read-only; no code
   in this repository mutates them, and callers that want to must copy
-  first (as they already must for the scalar path's memoized inputs).
+  first (as they already must for the memoized inputs).
 
 The one deliberately *non*-vectorized helper is
 :func:`~repro.core.memory_model.icache_penalty`, whose internal loop
@@ -42,7 +46,7 @@ rules to follow when vectorizing a new component.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -56,7 +60,11 @@ from repro.core.interval import (
     WindowPrediction,
 )
 from repro.core.machine import MachineConfig
-from repro.core.memory_model import icache_penalty
+from repro.core.memory_model import (
+    icache_penalty,
+    llc_chain_penalty,
+    mshr_soft_cap,
+)
 from repro.core.mlp import build_virtual_stream, cold_miss_mlp, stride_mlp
 from repro.core.power import (
     EVENT_ENERGY_NJ,
@@ -74,7 +82,6 @@ __all__ = [
     "ConfigGroups",
     "predict_interval_batch",
     "derive_activity_batch",
-    "evaluate_power_batch",
     "predict_model_batch",
     "compose_groups",
 ]
@@ -180,10 +187,6 @@ class BatchConfigs:
             return configs
         return cls(configs)
 
-    def group(self, key_of: Callable[[MachineConfig], object]) -> ConfigGroups:
-        """Partition the batch by ``key_of(config)``."""
-        return _group_by_keys([key_of(c) for c in self.configs])
-
     def partition(self, *fields: str) -> ConfigGroups:
         """Memoized partition by one or more structure-of-array axes.
 
@@ -236,7 +239,7 @@ def predict_interval_batch(
     """Batched :meth:`IntervalModel.predict`: one array program, N configs.
 
     Returns one :class:`Prediction` per config, bitwise identical to the
-    scalar path (including per-window stacks and, when a
+    scalar oracle (including per-window stacks and, when a
     :class:`ModelCache` is attached, the cache's key -> value state).
     """
     batch = BatchConfigs.ensure(configs)
@@ -410,7 +413,7 @@ def predict_interval_batch(
                 c = cfgs[rep]
                 deff_rep = deff_g[g_limits.inverse[rep]]
                 if c.prefetch:
-                    # The scalar path recomputes the prefetch stream per
+                    # The oracle recomputes the prefetch stream per
                     # configuration (no memo); one call per group gives
                     # the identical value without touching the cache.
                     stream = build_virtual_stream(
@@ -465,14 +468,7 @@ def predict_interval_batch(
             mlp = np.ones(n)
 
         if model.enable_mshr:
-            in_flight = np.maximum(1, batch.mshr_entries).astype(np.float64)
-            t_dram = batch.dram_latency.astype(np.float64)
-            waiting = mlp - in_flight
-            t_free = np.minimum(
-                t_dram, (waiting + 1.0) / 2.0 * t_dram / in_flight
-            )
-            capped = in_flight + waiting * (t_dram - t_free) / t_dram
-            mlp = np.where(mlp <= in_flight, mlp, capped)
+            mlp = mshr_soft_cap(mlp, batch.mshr_entries, batch.dram_latency)
         mlp = np.maximum(mlp, 1.0)
 
         # --- DRAM component -------------------------------------------
@@ -497,26 +493,14 @@ def predict_interval_batch(
             else:
                 hits_per_rob = np.zeros(n)
             f1 = micro.memory.independent_load_fraction() or 1.0
-            paths = np.maximum(f1 * loads_per_rob, 1.0)
-            loads_per_path = loads_per_rob / paths
-            chain_avg = hits_per_rob / paths
-            chain_max = np.minimum(hits_per_rob, loads_per_path)
-            chain_expected = (
-                chain_avg + np.maximum(chain_max - chain_avg, 0.0) / paths
-            )
-            serialized = batch.llc_latency * chain_expected
-            rob_fill = batch.rob_size / np.maximum(deff, 1e-6)
-            per_window = np.maximum(0.0, serialized - rob_fill)
-            windows_per_run = n_uops / batch.rob_size
-            chain_cycles = np.where(
-                (hits_per_rob <= 0.0) | (loads_per_rob <= 0.0),
-                0.0,
-                per_window * windows_per_run,
+            chain_cycles = llc_chain_penalty(
+                hits_per_rob, f1, loads_per_rob, deff, n_uops,
+                batch.rob_size, batch.llc_latency,
             )
         else:
             chain_cycles = np.zeros(n)
 
-        # Same summation order as sum(stack.values()) in the scalar path.
+        # Same summation order as sum(stack.values()) in the oracle.
         cycles = (
             base + branch_cycles + icache_cycles + chain_cycles
             + dram_cycles
@@ -574,7 +558,7 @@ def predict_interval_batch(
     # instance __dict__ directly) -- at 10^4+ WindowPrediction objects
     # per call, the generated __init__ is a measurable fraction of the
     # whole batch evaluation.  Field names and values match the
-    # constructor call in the scalar path exactly; the equivalence
+    # constructor call in the oracle exactly; the equivalence
     # harness pins the resulting objects ``==``.
     windows_by_group: List[List[WindowPrediction]] = [
         [] for _ in range(n_groups)
@@ -652,7 +636,14 @@ def derive_activity_batch(
     configs: Union[BatchConfigs, Sequence[MachineConfig]],
     cache: Optional[ModelCache] = None,
 ) -> List[ActivityVector]:
-    """Batched :func:`~repro.core.model.derive_activity` (Eq 3.16)."""
+    """Predicted activity factors for a config batch (Eq 3.16).
+
+    Cache access counts cascade through the StatStack miss ratios; the
+    instruction stream contributes L1I lookups and its own L2/LLC
+    traffic.  ``cache`` memoizes the per-level miss-ratio queries
+    across configurations sharing cache sizes.  ``predictions`` are
+    :func:`predict_interval_batch`'s for this profile and batch.
+    """
     batch = BatchConfigs.ensure(configs)
     n = len(batch)
     if n == 0:
@@ -726,32 +717,17 @@ def derive_activity_batch(
     dram_l = (dram_data + dram_instr).tolist()
     branches_l = branches.tolist()
 
-    # Per-kind counts vectorized once (count * scale elementwise equals
-    # the scalar per-config multiply bit-for-bit), then zipped back into
-    # per-config dicts in ``mix.counts`` insertion order.  Predictions
-    # produced by :func:`predict_interval_batch` all share the same
-    # instruction total, making the scale -- and hence the whole kind
-    # dict -- identical across the batch; in that common case one dict
-    # is built and shared (same read-only aliasing contract as the
-    # window lists above).  As with WindowPrediction, the dataclass
-    # constructor is bypassed for speed; the equivalence harness pins
-    # the objects ``==``.
-    kinds = list(mix.counts)
-    scale_l = scale.tolist()
-    if not kinds:
-        kind_dicts: List[Dict] = [{} for _ in range(n)]
-    elif n and all(value == scale_l[0] for value in scale_l):
-        shared = {
-            kind: count * scale_l[0] for kind, count in mix.counts.items()
-        }
-        kind_dicts = [shared] * n
-    else:
-        kind_dicts = [
-            dict(zip(kinds, row))
-            for row in zip(*[
-                (count * scale).tolist() for count in mix.counts.values()
-            ])
-        ]
+    # Per-kind counts in ``mix.counts`` insertion order (count * scale
+    # is the oracle's per-config multiply).  Predictions produced by
+    # :func:`predict_interval_batch` all carry the profile's instruction
+    # total, so the scale -- and hence the whole kind dict -- is one
+    # for the batch: it is built once and shared (same read-only
+    # aliasing contract as the window lists above).  As with
+    # WindowPrediction, the dataclass constructor is bypassed for
+    # speed; the equivalence harness pins the objects ``==``.
+    scale_0 = float(scale[0])
+    kind_counts = {kind: count * scale_0
+                   for kind, count in mix.counts.items()}
 
     activities: List[ActivityVector] = []
     new_activity = ActivityVector.__new__
@@ -761,7 +737,7 @@ def derive_activity_batch(
         activity.__dict__ = {
             "cycles": prediction.cycles,
             "uops": prediction.uops,
-            "uop_kind_counts": kind_dicts[j],
+            "uop_kind_counts": kind_counts,
             "l1_accesses": l1_l[j],
             "l2_accesses": l2_l[j],
             "llc_accesses": llc_l[j],
@@ -785,20 +761,9 @@ def _power_batch(
     if n == 0:
         return [], [], [], []
 
+    # Every vector of the batch takes its kinds, in order, from the one
+    # profile's mix (derive_activity_batch), so the first names them all.
     kinds = tuple(activities[0].uop_kind_counts)
-    if any(tuple(a.uop_kind_counts) != kinds for a in activities):
-        # Heterogeneous activity vectors (possible through the public
-        # evaluate_power_batch API): fall back to the scalar model per
-        # config, which is exact by definition.
-        breakdowns, energy, edp, ed2p = [], [], [], []
-        for config, activity in zip(batch.configs, activities):
-            power_model = PowerModel(config)
-            breakdowns.append(power_model.evaluate(activity))
-            energy.append(power_model.energy_joules(activity))
-            edp.append(power_model.edp(activity))
-            ed2p.append(power_model.ed2p(activity))
-        return breakdowns, energy, edp, ed2p
-
     cycles = np.array([a.cycles for a in activities], dtype=np.float64)
     uops = np.array([a.uops for a in activities], dtype=np.float64)
     l1 = np.array([a.l1_accesses for a in activities], dtype=np.float64)
@@ -893,19 +858,6 @@ def _power_batch(
         }
         breakdowns.append(breakdown)
     return breakdowns, energy.tolist(), edp.tolist(), ed2p.tolist()
-
-
-def evaluate_power_batch(
-    configs: Union[BatchConfigs, Sequence[MachineConfig]],
-    activities: Sequence[ActivityVector],
-) -> List[PowerBreakdown]:
-    """Batched :meth:`PowerModel.evaluate` over (config, activity) pairs."""
-    batch = BatchConfigs.ensure(configs)
-    if len(batch) != len(activities):
-        raise ValueError(
-            f"got {len(batch)} configs but {len(activities)} activities"
-        )
-    return _power_batch(batch, activities)[0]
 
 
 # ----------------------------------------------------------------------

@@ -22,22 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.branch import branch_resolution_time
-from repro.core.dispatch import DispatchLimits, effective_dispatch_rate
 from repro.core.machine import MachineConfig
-from repro.core.memory_model import (
-    icache_penalty,
-    llc_chain_penalty,
-    mshr_soft_cap,
-)
-from repro.core.mlp import (
-    MLPResult,
-    build_virtual_stream,
-    cold_miss_mlp,
-    stride_mlp,
-)
 from repro.frontend.entropy import EntropyMissRateModel
-from repro.isa import UopKind
 from repro.profiler.profile import ApplicationProfile, MicroTraceProfile
 
 #: CPI stack component keys, in display order.
@@ -270,247 +256,17 @@ class IntervalModel:
             return 0.0
         return represented / micro.length
 
-    def _evaluate_window(
-        self,
-        profile: ApplicationProfile,
-        micro: MicroTraceProfile,
-        config: MachineConfig,
-        miss_rate_bpred: float,
-    ) -> WindowPrediction:
-        mix = micro.mix
-        n_uops = float(mix.num_uops)
-        n_instr = float(mix.num_instructions)
-        statstack = profile.statstack()
-        tok = self.cache.token(profile) if self.cache is not None else 0
-
-        limits = self._memo(
-            ("limits", tok, micro.start, config.dispatch_width,
-             config.rob_size, config.ports, config.uop_latencies),
-            lambda: effective_dispatch_rate(mix, micro.chains, config),
-        )
-        deff = limits.effective()
-        base = n_uops / deff
-
-        # --- Branch component -----------------------------------------
-        branches = float(mix.counts.get(UopKind.BRANCH, 0))
-        mispredictions = miss_rate_bpred * branches
-        branch_cycles = 0.0
-        if mispredictions > 0.0:
-            interval_uops = n_uops / mispredictions
-            average_latency = mix.average_latency(config.latencies())
-            resolution = self._memo(
-                ("branch", tok, micro.start, average_latency,
-                 interval_uops, config.dispatch_width, config.rob_size),
-                lambda: branch_resolution_time(
-                    micro.chains, average_latency, interval_uops, config
-                ),
-            )
-            branch_cycles = mispredictions * (
-                resolution + config.frontend_refill
-            )
-
-        # --- Instruction cache ------------------------------------------
-        i_sizes = (config.l1i.size_bytes, config.l2.size_bytes,
-                   config.llc.size_bytes)
-        i_ratios = self._memo(
-            ("iratios", tok) + i_sizes,
-            lambda: profile.instruction_statstack().hierarchy_miss_ratios(
-                list(i_sizes), kind="load"
-            ),
-        )
-        icache_cycles = icache_penalty(n_instr, i_ratios, config)
-
-        # --- Data cache misses -------------------------------------------
-        loads = float(mix.counts.get(UopKind.LOAD, 0))
-        stores = float(mix.counts.get(UopKind.STORE, 0))
-
-        def _load_ratio(size: int) -> float:
-            return self._memo(
-                ("dratio", tok, micro.start, "load", size),
-                lambda: statstack.miss_ratio_of(
-                    micro.load_reuse, micro.cold_loads, size
-                ),
-            )
-
-        ratio_l2 = _load_ratio(config.l2.size_bytes)
-        ratio_llc = _load_ratio(config.llc.size_bytes)
-        store_ratio_llc = self._memo(
-            ("dratio", tok, micro.start, "store", config.llc.size_bytes),
-            lambda: statstack.miss_ratio_of(
-                micro.store_reuse, micro.cold_stores, config.llc.size_bytes
-            ),
-        )
-        m_l2 = ratio_l2 * loads
-        m_llc = ratio_llc * loads
-        m_llc_store = store_ratio_llc * stores
-        llc_hits = max(0.0, m_l2 - m_llc)
-
-        # --- MLP ----------------------------------------------------------
-        f_l = self._memo(
-            ("fl", tok, micro.start),
-            lambda: micro.memory.load_dependence_distribution(),
-        )
-        if self.mlp_model == "stride":
-            # With the prefetcher off, the virtual stream and its MLP
-            # depend only on the listed fields, so both memoize across
-            # configurations; prefetching adds deff/table/page/timing
-            # dependencies, so that path always recomputes.
-            def _build_stream():
-                return build_virtual_stream(
-                    micro.memory, statstack, config, deff=deff,
-                    load_reuse_by_pc=micro.load_reuse_by_pc,
-                    cold_by_pc=micro.cold_by_pc,
-                )
-
-            if config.prefetch:
-                stream = _build_stream()
-                result = stride_mlp(stream, f_l, config, deff=deff)
-            else:
-                stream = self._memo(
-                    ("stream", tok, micro.start, config.llc.size_bytes),
-                    _build_stream,
-                )
-                result = self._memo(
-                    ("smlp", tok, micro.start, config.llc.size_bytes,
-                     config.rob_size, config.mshr_entries,
-                     config.llc.latency, config.dram_latency, deff),
-                    lambda: stride_mlp(stream, f_l, config, deff=deff),
-                )
-            if config.prefetch:
-                # The virtual stream carries the prefetch-adjusted miss
-                # weights; rescale StatStack's count by that reduction.
-                raw = sum(1.0 for vl in stream.loads if vl.miss_weight > 0.0)
-                reduction = (
-                    stream.total_miss_weight / raw if raw > 0.0 else 1.0
-                )
-                m_llc *= min(1.0, reduction)
-        elif self.mlp_model == "cold":
-            cold_fraction = 0.0
-            if m_llc > 0.0:
-                cold_fraction = min(1.0, micro.cold_loads / m_llc)
-            result = cold_miss_mlp(
-                profile.cold,
-                f_l,
-                ratio_llc,
-                cold_fraction,
-                mix.load_fraction,
-                config,
-            )
-        else:  # "none": serialize all misses
-            result = MLPResult(mlp=1.0, llc_misses=m_llc)
-
-        mlp = result.mlp
-        if self.enable_mshr:
-            mlp = mshr_soft_cap(mlp, config)
-        mlp = max(mlp, 1.0)
-
-        # --- DRAM component -----------------------------------------------
-        # The full main-memory round trip: LLC tag check that discovered
-        # the miss, the line's own bus transfer, DRAM access.
-        memory_latency = float(config.llc.latency + config.dram_latency)
-        if self.enable_bus:
-            memory_latency += config.bus_transfer_cycles
-        dram_cycles = m_llc * memory_latency / mlp
-        if self.enable_bus:
-            # Bus congestion enters as a bandwidth floor (the §4.7
-            # saturated-bus regime): no amount of MLP makes the memory
-            # component smaller than the total bus occupancy of all
-            # transfers (loads and stores) minus what hides under the
-            # base component.  This replaces the per-miss queue of
-            # Eq 4.5, which double-counts congestion once the floor
-            # binds (validated against the reference simulator's
-            # in-order bus).
-            occupancy = (
-                (m_llc + m_llc_store) * config.bus_transfer_cycles
-                / max(1, config.memory_channels)
-            )
-            dram_cycles = max(dram_cycles, occupancy - base)
-
-        # --- Chained LLC hits ----------------------------------------------
-        chain_cycles = 0.0
-        if self.enable_llc_chaining and n_uops > 0:
-            load_fraction = mix.load_fraction
-            loads_per_rob = load_fraction * config.rob_size
-            hits_per_rob = (
-                (llc_hits / loads) * loads_per_rob if loads > 0 else 0.0
-            )
-            f1 = micro.memory.independent_load_fraction() or 1.0
-            chain_cycles = llc_chain_penalty(
-                hits_per_rob, f1, loads_per_rob, deff, n_uops, config
-            )
-
-        stack = {
-            "base": base,
-            "branch": branch_cycles,
-            "icache": icache_cycles,
-            "llc_chain": chain_cycles,
-            "dram": dram_cycles,
-        }
-        cycles = sum(stack.values())
-        return WindowPrediction(
-            start=micro.start,
-            instructions=n_instr,
-            cycles=cycles,
-            stack=stack,
-            deff=deff,
-            mlp=mlp,
-            limiter=limits.limiter(),
-            llc_misses=m_llc,
-        )
-
-    # ------------------------------------------------------------------
-
     def predict(
         self,
         profile: ApplicationProfile,
         config: MachineConfig,
     ) -> Prediction:
-        """Evaluate the interval model over all micro-traces."""
-        miss_rate = self.entropy_model.predict_from_profile(
-            profile.branch_entropy
-        )
+        """Evaluate the interval model over all micro-traces.
 
-        total_cycles = 0.0
-        total_instr = 0.0
-        total_uops = 0.0
-        total_misses = 0.0
-        total_mispredictions = 0.0
-        mlp_weighted = 0.0
-        mlp_weight = 0.0
-        stack = {key: 0.0 for key in STACK_COMPONENTS}
-        windows: List[WindowPrediction] = []
+        A one-config batch through
+        :func:`~repro.core.batch.predict_interval_batch`, the model's
+        only evaluation path.
+        """
+        from repro.core.batch import predict_interval_batch
 
-        for micro in profile.micro_traces:
-            weight = self._window_weight(profile, micro)
-            if weight == 0.0:
-                continue
-            window = self._evaluate_window(profile, micro, config, miss_rate)
-            windows.append(window)
-            total_cycles += window.cycles * weight
-            total_instr += window.instructions * weight
-            total_uops += micro.mix.num_uops * weight
-            for key in stack:
-                stack[key] += window.stack[key] * weight
-            total_misses += window.llc_misses * weight
-            dram = window.stack["dram"]
-            if dram > 0.0:
-                mlp_weighted += window.mlp * dram
-                mlp_weight += dram
-            total_mispredictions += (
-                miss_rate * micro.mix.counts.get(UopKind.BRANCH, 0) * weight
-            )
-
-        mlp = mlp_weighted / mlp_weight if mlp_weight else 1.0
-        return Prediction(
-            config_name=config.name,
-            workload=profile.name,
-            cycles=total_cycles,
-            instructions=total_instr,
-            uops=total_uops,
-            stack=stack,
-            windows=windows,
-            mlp=mlp,
-            llc_load_misses=total_misses,
-            branch_mispredictions=total_mispredictions,
-            frequency_ghz=config.frequency_ghz,
-        )
+        return predict_interval_batch(self, profile, [config])[0]

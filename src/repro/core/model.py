@@ -12,9 +12,8 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.interval import IntervalModel, ModelCache, Prediction
 from repro.core.machine import MachineConfig
-from repro.core.power import ActivityVector, PowerBreakdown, PowerModel
+from repro.core.power import ActivityVector, PowerBreakdown
 from repro.frontend.entropy import EntropyMissRateModel
-from repro.isa import UopKind
 from repro.profiler.profile import ApplicationProfile
 
 
@@ -71,87 +70,6 @@ class ModelResult:
     def power_stack(self) -> Dict[str, float]:
         """The power breakdown per component, in watts."""
         return self.power.stack()
-
-
-def derive_activity(
-    profile: ApplicationProfile,
-    prediction: Prediction,
-    config: MachineConfig,
-    cache: Optional[ModelCache] = None,
-) -> ActivityVector:
-    """Predicted activity factors from the profile + prediction (Eq 3.16).
-
-    Cache access counts cascade through the StatStack miss ratios; the
-    instruction stream contributes L1I lookups and its own L2/LLC traffic.
-
-    Parameters
-    ----------
-    profile:
-        The micro-architecture independent application profile.
-    prediction:
-        The interval-model performance prediction for this pair.
-    config:
-        The machine configuration being evaluated.
-    cache:
-        Optional :class:`ModelCache`; memoizes the per-level StatStack
-        miss-ratio queries across configurations sharing cache sizes.
-
-    Returns
-    -------
-    ActivityVector
-        Per-structure access counts for the power model.
-    """
-    statstack = profile.statstack()
-    instruction_statstack = profile.instruction_statstack()
-    mix = profile.mix
-    scale = (
-        prediction.instructions / mix.num_instructions
-        if mix.num_instructions else 0.0
-    )
-
-    loads = mix.counts.get(UopKind.LOAD, 0) * scale
-    stores = mix.counts.get(UopKind.STORE, 0) * scale
-    branches = mix.counts.get(UopKind.BRANCH, 0) * scale
-    instructions = prediction.instructions
-
-    def _ratios(model, stream, kind, sizes):
-        if cache is None:
-            return model.hierarchy_miss_ratios(list(sizes), kind=kind)
-        return cache.get(
-            ("activity", cache.token(profile), stream, kind)
-            + tuple(sizes),
-            lambda: model.hierarchy_miss_ratios(list(sizes), kind=kind),
-        )
-
-    sizes = (config.l1d.size_bytes, config.l2.size_bytes,
-             config.llc.size_bytes)
-    load_ratios = _ratios(statstack, "data", "load", sizes)
-    store_ratios = _ratios(statstack, "data", "store", sizes)
-    i_sizes = (config.l1i.size_bytes, config.l2.size_bytes,
-               config.llc.size_bytes)
-    i_ratios = _ratios(instruction_statstack, "instr", "load", i_sizes)
-
-    l1_data = loads + stores
-    l2_data = loads * load_ratios[0] + stores * store_ratios[0]
-    llc_data = loads * load_ratios[1] + stores * store_ratios[1]
-    dram_data = loads * load_ratios[2] + stores * store_ratios[2]
-    l1_instr = instructions
-    l2_instr = instructions * i_ratios[0]
-    llc_instr = instructions * i_ratios[1]
-    dram_instr = instructions * i_ratios[2]
-
-    return ActivityVector(
-        cycles=prediction.cycles,
-        uops=prediction.uops,
-        uop_kind_counts={
-            kind: count * scale for kind, count in mix.counts.items()
-        },
-        l1_accesses=l1_data + l1_instr,
-        l2_accesses=l2_data + l2_instr,
-        llc_accesses=llc_data + llc_instr,
-        dram_accesses=dram_data + dram_instr,
-        branch_lookups=branches,
-    )
 
 
 class AnalyticalModel:
@@ -242,20 +160,7 @@ class AnalyticalModel:
         ModelResult
             Performance, power, activity and energy metrics.
         """
-        prediction = self.interval.predict(profile, config)
-        activity = derive_activity(
-            profile, prediction, config, cache=self.interval.cache
-        )
-        power_model = PowerModel(config)
-        breakdown = power_model.evaluate(activity)
-        return ModelResult(
-            performance=prediction,
-            power=breakdown,
-            activity=activity,
-            energy_joules=power_model.energy_joules(activity),
-            edp=power_model.edp(activity),
-            ed2p=power_model.ed2p(activity),
-        )
+        return self.predict_batch(profile, [config])[0]
 
     def predict_batch(
         self,
@@ -264,10 +169,12 @@ class AnalyticalModel:
     ) -> List[ModelResult]:
         """Full predictions for a whole config batch on one profile.
 
-        The vectorized kernel (:func:`repro.core.batch.predict_model_batch`):
-        bitwise identical to calling :meth:`predict` per configuration,
-        and it leaves any attached :class:`ModelCache` in the state that
-        loop would.  Kernel errors propagate to the caller.
+        The vectorized kernel (:func:`repro.core.batch.predict_model_batch`),
+        the model's only evaluation path: bitwise identical to a
+        per-configuration walk of the equations (the oracle in
+        ``tests/reference/model.py``), and it leaves any attached
+        :class:`ModelCache` in the state that walk would.  Kernel errors
+        propagate to the caller.
 
         Parameters
         ----------

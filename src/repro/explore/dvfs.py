@@ -4,8 +4,8 @@ The analytical model's performance prediction is in cycles, so scaling
 frequency (and the DVFS rail voltage) re-prices the same cycle count in
 seconds and watts; memory latency in *cycles* scales with frequency
 because DRAM time is constant in nanoseconds.  For simplicity -- and like
-the thesis' DVFS study -- we re-evaluate the model per operating point
-with a frequency-scaled DRAM latency.
+the thesis' DVFS study -- we re-evaluate the model at every operating
+point (one config batch) with a frequency-scaled DRAM latency.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ def explore_dvfs(
     engine:
         Optional :class:`~repro.explore.engine.SweepEngine`; the grid is
         then evaluated through the engine (sharing its caches and
-        worker pool) instead of a local serial loop.
+        worker pool) instead of one local ``model.predict_batch`` call.
 
     Returns
     -------
@@ -119,8 +119,9 @@ def explore_dvfs(
         ]
     model = model or AnalyticalModel()
     return [
-        DVFSResult(point=point, result=model.predict(profile, config))
-        for point, config in zip(points, configs)
+        DVFSResult(point=point, result=result)
+        for point, result in zip(points,
+                                 model.predict_batch(profile, configs))
     ]
 
 

@@ -10,9 +10,8 @@ zero-dependency asyncio HTTP front door.  The layers, front to back:
   (``POST /run``, ``/health``, ``/stats``, ``/metrics``), admission
   control, deadlines and graceful drain;
 * :mod:`repro.serve.dedup` -- identical in-flight requests coalesce
-  onto one computation;
-* :mod:`repro.serve.batch` -- compatible concurrent sweeps merge into
-  one engine pass, streamed points demultiplexed per client;
+  onto one :meth:`~repro.api.session.Session.run`, whose ``on_point``
+  callback feeds the leader's NDJSON stream;
 * :class:`~repro.api.runstore.RunStore` -- the run store, with the
   ``--max-entries`` LRU cap (``ShardedRunStore`` is the same class
   under its older name);
@@ -25,7 +24,6 @@ thread-pool executor; coroutines only parse, route and fan out.
 """
 
 from repro.api.runstore import RunStore as ShardedRunStore
-from repro.serve.batch import SweepBatcher
 from repro.serve.client import ServeError, get_json, request_run
 from repro.serve.dedup import InflightTable
 from repro.serve.server import ExperimentServer, ServerThread
@@ -36,7 +34,6 @@ __all__ = [
     "ServeError",
     "ServerThread",
     "ShardedRunStore",
-    "SweepBatcher",
     "get_json",
     "request_run",
 ]

@@ -77,6 +77,12 @@ def request_run(
     dict
         ``{"cached": bool, "result": {...}}`` -- identical shape for
         streamed and plain requests.
+
+    Raises
+    ------
+    ServeError
+        On a non-2xx answer, or on a stream's ``error`` line (a
+        computation that failed after the stream's headers went out).
     """
     body = json.dumps(dict(spec), sort_keys=True).encode("utf-8")
     path = "/run?stream=1" if stream else "/run"
@@ -84,26 +90,31 @@ def request_run(
     try:
         conn.request("POST", path, body=body,
                      headers={"Content-Type": "application/json"})
-        response = conn.getresponse()
-        if response.status != 200:
-            raise ServeError(response.status,
-                             _error_message(response.read()))
-        if not stream:
-            payload = json.loads(response.read().decode("utf-8"))
-            return payload
-        final: Optional[Dict[str, Any]] = None
-        while True:
-            line = response.readline()
-            if not line:
-                break
-            event = json.loads(line.decode("utf-8"))
-            if event.get("event") == "result":
-                final = {"cached": event["cached"],
-                         "result": event["result"]}
-            elif on_point is not None:
-                on_point(event)
-        if final is None:
-            raise ServeError(502, "stream ended without a result event")
-        return final
+        # Closing the response releases the socket even when a stream
+        # ends early (an error line raises before the end of the body).
+        with conn.getresponse() as response:
+            if response.status != 200:
+                raise ServeError(response.status,
+                                 _error_message(response.read()))
+            if not stream:
+                return json.loads(response.read().decode("utf-8"))
+            final: Optional[Dict[str, Any]] = None
+            while True:
+                line = response.readline()
+                if not line:
+                    break
+                event = json.loads(line.decode("utf-8"))
+                kind = event.get("event")
+                if kind == "result":
+                    final = {"cached": event["cached"],
+                             "result": event["result"]}
+                elif kind == "error":
+                    raise ServeError(event["status"], event["error"])
+                elif on_point is not None:
+                    on_point(event)
+            if final is None:
+                raise ServeError(502,
+                                 "stream ended without a result event")
+            return final
     finally:
         conn.close()

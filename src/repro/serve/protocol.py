@@ -176,44 +176,33 @@ async def read_request(
                        headers, body)
 
 
-def render_response(
-    status: int,
-    body: bytes,
-    content_type: str = "application/json",
-    extra_headers: Optional[Dict[str, str]] = None,
-) -> bytes:
-    """Serialize one complete (non-chunked) HTTP response."""
+def render_response(status: int, body: bytes) -> bytes:
+    """Serialize one complete (non-chunked) JSON HTTP response."""
     reason = STATUS_REASONS.get(status, "Unknown")
-    lines = [
-        f"HTTP/1.1 {status} {reason}",
-        f"Content-Type: {content_type}",
-        f"Content-Length: {len(body)}",
-    ]
-    for name, value in (extra_headers or {}).items():
-        lines.append(f"{name}: {value}")
-    head = "\r\n".join(lines) + "\r\n\r\n"
+    head = (
+        f"HTTP/1.1 {status} {reason}\r\n"
+        "Content-Type: application/json\r\n"
+        f"Content-Length: {len(body)}\r\n\r\n"
+    )
     return head.encode("latin-1") + body
 
 
-async def write_json(
-    writer: asyncio.StreamWriter,
-    status: int,
-    payload: Any,
-    extra_headers: Optional[Dict[str, str]] = None,
-) -> None:
+async def write_json(writer: asyncio.StreamWriter, status: int,
+                     payload: Any) -> None:
     """Write one JSON response and drain the transport."""
     body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-    writer.write(render_response(status, body,
-                                 extra_headers=extra_headers))
+    writer.write(render_response(status, body))
     await writer.drain()
 
 
 class NdjsonStream:
     """A chunked ``application/x-ndjson`` response in progress.
 
-    Each :meth:`send` emits one JSON document as one line inside one
-    HTTP chunk, then drains -- clients observe every partial result as
-    soon as it exists.  :meth:`close` terminates the chunked body.
+    :meth:`start` always answers ``200``: a stream reports a failure
+    in-band, as its last line.  Each :meth:`send` emits one JSON
+    document as one line inside one HTTP chunk, then drains -- clients
+    observe every partial result as soon as it exists.  :meth:`close`
+    terminates the chunked body.
 
     Examples
     --------
@@ -225,21 +214,16 @@ class NdjsonStream:
 
     def __init__(self, writer: asyncio.StreamWriter) -> None:
         self._writer = writer
-        self._started = False
-        self._closed = False
 
-    async def start(self, status: int = 200) -> None:
+    async def start(self) -> None:
         """Write the response head announcing a chunked NDJSON body."""
-        reason = STATUS_REASONS.get(status, "Unknown")
-        head = (
-            f"HTTP/1.1 {status} {reason}\r\n"
-            "Content-Type: application/x-ndjson\r\n"
-            "Transfer-Encoding: chunked\r\n"
-            "Connection: close\r\n\r\n"
+        self._writer.write(
+            b"HTTP/1.1 200 OK\r\n"
+            b"Content-Type: application/x-ndjson\r\n"
+            b"Transfer-Encoding: chunked\r\n"
+            b"Connection: close\r\n\r\n"
         )
-        self._writer.write(head.encode("latin-1"))
         await self._writer.drain()
-        self._started = True
 
     async def send(self, payload: Any) -> None:
         """Emit one JSON line as one chunk and drain."""
@@ -249,10 +233,6 @@ class NdjsonStream:
         await self._writer.drain()
 
     async def close(self) -> None:
-        """Terminate the chunked body (idempotent)."""
-        if self._closed or not self._started:
-            self._closed = True
-            return
-        self._closed = True
+        """Terminate the chunked body."""
         self._writer.write(b"0\r\n\r\n")
         await self._writer.drain()

@@ -9,26 +9,31 @@ small HTTP/JSON surface:
     Body: an :class:`~repro.api.spec.ExperimentSpec` JSON document.
     Answers ``{"cached": ..., "result": ...}``; with ``?stream=1`` the
     response is chunked NDJSON -- ``{"event": "point", ...}`` partials
-    as design points are computed, then one ``{"event": "result", ...}``
-    line.
+    as a sweep's design points are computed, then one
+    ``{"event": "result", ...}`` line.  A failed computation answers
+    ``{"error": ...}`` with 400 (:class:`~repro.api.spec.SpecError`) or
+    500 (anything else); once a stream's headers are out, it ends with
+    one ``{"event": "error", "status": ..., "error": ...}`` line
+    instead.
 ``GET /health``
     Liveness plus drain state.
 ``GET /stats``
-    The server's plain-int counters (dedup, batching, shedding) next to
+    The server's plain-int counters (dedup, shedding, errors) next to
     the session's store/pool counters.
 ``GET /metrics``
     The session telemetry's metrics snapshot (when enabled).
 
-Three layers keep N clients cheaper than N sessions: warm requests are
-answered straight from the run store (off-loop, before any queueing);
-identical cold requests coalesce onto one in-flight computation
-(:class:`~repro.serve.dedup.InflightTable`); compatible concurrent
-sweeps merge into shared engine passes
-(:class:`~repro.serve.batch.SweepBatcher`).  Overload is shed with
-``503`` at ``max_queue`` in-flight requests, per-request deadlines
-answer ``504`` (the shielded computation still completes and lands in
-the store), and ``SIGTERM``/``SIGINT`` trigger a graceful drain: stop
-accepting, finish in-flight work, then exit.
+Two layers keep N clients cheaper than N sessions: warm requests are
+answered straight from the run store (off-loop, before any queueing),
+and identical cold requests coalesce onto one in-flight
+:meth:`Session.run <repro.api.session.Session.run>`
+(:class:`~repro.serve.dedup.InflightTable`).  Every computation is that
+one call; a streamed request that leads one passes ``on_point`` to feed
+its NDJSON partials, and its followers get the result line only.
+Overload is shed with ``503`` at ``max_queue`` in-flight requests,
+per-request deadlines answer ``504`` (the shielded computation still
+completes and lands in the store), and ``SIGTERM``/``SIGINT`` trigger a
+graceful drain: stop accepting, finish in-flight work, then exit.
 
 The event loop never blocks: every session/store/engine call runs on a
 small thread-pool executor (the ``async-safety`` lint rule keeps it
@@ -39,19 +44,23 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import functools
+import logging
 import signal
 import socket
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
-from repro.api.session import Session
+from repro.api.results import RunResult
+from repro.api.session import Session, _point_dict
 from repro.api.spec import ExperimentSpec, SpecError
-from repro.serve.batch import SweepBatcher
 from repro.serve.dedup import InflightTable
 from repro.serve.protocol import (HttpRequest, NdjsonStream,
                                   ProtocolError, read_request,
                                   write_json)
 
 __all__ = ["ExperimentServer", "ServerThread"]
+
+logger = logging.getLogger(__name__)
 
 _SERVER_COUNTERS = ("requests", "store_hits", "shed", "timeouts",
                     "errors", "disconnects", "streams")
@@ -75,11 +84,9 @@ class ExperimentServer:
         Per-request deadline in seconds for non-streaming requests
         (``504`` on expiry; the underlying computation finishes and
         warms the store).  ``None`` disables the deadline.
-    batch_window / max_batch:
-        Sweep micro-batching knobs (see
-        :class:`~repro.serve.batch.SweepBatcher`).
     drain_timeout:
-        Seconds :meth:`drain` waits for in-flight requests.
+        Seconds :meth:`drain` waits for the requests in flight (idle
+        keep-alive connections are closed at once).
     executor_workers:
         Thread-pool size for blocking session/store work.
     """
@@ -92,8 +99,6 @@ class ExperimentServer:
         *,
         max_queue: int = 32,
         request_timeout: Optional[float] = None,
-        batch_window: float = 0.05,
-        max_batch: int = 16,
         drain_timeout: float = 10.0,
         executor_workers: int = 4,
     ) -> None:
@@ -108,9 +113,6 @@ class ExperimentServer:
             thread_name_prefix="repro-serve",
         )
         self.inflight = InflightTable()
-        self.batcher = SweepBatcher(session, self.executor,
-                                    window=batch_window,
-                                    max_batch=max_batch)
         self.requests = 0
         self.store_hits = 0
         self.shed = 0
@@ -118,20 +120,22 @@ class ExperimentServer:
         self.errors = 0
         self.disconnects = 0
         self.streams = 0
+        #: ``Session.run`` calls that computed (or failed) -- a leader
+        #: whose run found the store already warm is not one.
+        self.computations = 0
         self._active = 0
         self._draining = False
         self._flushed: Dict[str, int] = {}
         self._server: Optional[asyncio.AbstractServer] = None
         self._shutdown: Optional[asyncio.Event] = None
-        self._idle: Optional[asyncio.Event] = None
+        self._handlers: Set["asyncio.Task"] = set()
+        self._idle: Dict["asyncio.Task", asyncio.StreamWriter] = {}
 
     # -- lifecycle -----------------------------------------------------
 
     async def start(self) -> None:
         """Bind and start accepting connections (non-blocking)."""
         self._shutdown = asyncio.Event()
-        self._idle = asyncio.Event()
-        self._idle.set()
         self._server = await asyncio.start_server(
             self._client, self.host, self.port)
         for sock in self._server.sockets or ():
@@ -166,36 +170,32 @@ class ExperimentServer:
     async def drain(self) -> None:
         """Stop accepting, let in-flight requests finish, release workers.
 
-        In-flight requests get :attr:`drain_timeout` seconds to finish;
-        the executor is then shut down.  The session itself stays open
-        (the owner closes it).
+        Idle keep-alive connections are closed at once; a connection
+        with a request in flight gets :attr:`drain_timeout` seconds to
+        answer it and close (its handler is awaited, so it closes
+        before the loop stops).  The executor is then shut down; the
+        session itself stays open (the owner closes it).
         """
         self._draining = True
         if self._server is not None:
+            # Only stop accepting: Server.wait_closed (Python 3.12+)
+            # would wait for every connection, with no timeout.
             self._server.close()
-            await self._server.wait_closed()
             self._server = None
-        if self._idle is not None and self._active:
-            try:
-                await asyncio.wait_for(self._idle.wait(),
-                                       self.drain_timeout)
-            except asyncio.TimeoutError:
-                pass
-        await self.batcher.close()
+        for writer in self._idle.values():
+            writer.close()
+        if self._handlers:
+            await asyncio.wait(set(self._handlers),
+                               timeout=self.drain_timeout)
         self.executor.shutdown(wait=False)
 
     # -- accounting ----------------------------------------------------
 
     @property
-    def computations(self) -> int:
-        """Engine passes actually executed for ``/run`` requests."""
-        return self.inflight.leaders + self.batcher.groups
-
-    @property
     def coalesced(self) -> int:
-        """Requests answered without their own engine pass."""
-        return (self.inflight.followers + self.batcher.followers
-                + self.batcher.merged + self.store_hits)
+        """Requests answered without their own computation."""
+        return (self.store_hits + self.inflight.leaders
+                + self.inflight.followers - self.computations)
 
     def stats(self) -> Dict[str, Any]:
         """The ``GET /stats`` document (plain ints, JSON-clean)."""
@@ -211,10 +211,9 @@ class ExperimentServer:
             "dedup": {"leaders": self.inflight.leaders,
                       "followers": self.inflight.followers,
                       "inflight": len(self.inflight)},
-            "batch": {"groups": self.batcher.groups,
-                      "computed": self.batcher.computed,
-                      "merged": self.batcher.merged,
-                      "followers": self.batcher.followers},
+            # For readers of this section (perfbench/layers.py): every
+            # computation is one Session.run, so nothing ever merges.
+            "batch": {"computed": self.computations, "merged": 0},
         }
         store = self.session.run_store
         if store is not None:
@@ -233,9 +232,6 @@ class ExperimentServer:
                   for name in _SERVER_COUNTERS}
         values["dedup_leaders"] = self.inflight.leaders
         values["dedup_followers"] = self.inflight.followers
-        values["batch_groups"] = self.batcher.groups
-        values["batch_merged"] = self.batcher.merged
-        values["batch_followers"] = self.batcher.followers
         for name, value in values.items():
             delta = value - self._flushed.get(name, 0)
             if delta:
@@ -247,9 +243,15 @@ class ExperimentServer:
     async def _client(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
         """Serve one connection: requests until close or stream end."""
+        handler = asyncio.current_task()
+        self._handlers.add(handler)
         try:
-            while True:
-                request = await read_request(reader)
+            while not self._draining:
+                self._idle[handler] = writer
+                try:
+                    request = await read_request(reader)
+                finally:
+                    del self._idle[handler]
                 if request is None:
                     break
                 self.requests += 1
@@ -274,6 +276,8 @@ class ExperimentServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+            finally:
+                self._handlers.discard(handler)
 
     async def _dispatch(self, request: HttpRequest,
                         writer: asyncio.StreamWriter) -> bool:
@@ -320,7 +324,14 @@ class ExperimentServer:
 
     async def _run_route(self, request: HttpRequest,
                          writer: asyncio.StreamWriter) -> bool:
-        """Admission control + error envelope around :meth:`_execute`."""
+        """Admission control + error envelope around :meth:`_execute`.
+
+        Failed computations are answered inside :meth:`_execute`; what
+        reaches the socket-error handler here is a client that went
+        away while its request was read or its reply written.  Any
+        other exception (say a spec that breaks the parser) is answered
+        by the last clause, and the connection closes.
+        """
         if self._draining:
             self.shed += 1
             await write_json(writer, 503, {"error": "server draining"})
@@ -332,7 +343,6 @@ class ExperimentServer:
                 {"error": f"overloaded ({self._active} in flight)"})
             return True
         self._active += 1
-        self._idle.clear()
         try:
             return await self._execute(request, writer)
         except ProtocolError as exc:
@@ -352,105 +362,131 @@ class ExperimentServer:
             self.disconnects += 1
             return False
         except Exception as exc:  # noqa: BLE001 -- service boundary
-            self.errors += 1
-            try:
-                await write_json(
-                    writer, 500,
-                    {"error": f"{type(exc).__name__}: {exc}"})
-            except (ConnectionError, OSError):
-                self.disconnects += 1
+            logger.warning("request failed", exc_info=exc)
+            status, message = self._failure(exc)
+            await write_json(writer, status, {"error": message})
             return False
         finally:
             self._active -= 1
-            if self._active == 0:
-                self._idle.set()
+
+    def _failure(self, exc: BaseException) -> Tuple[int, str]:
+        """Count one failed request; its HTTP status and message."""
+        self.errors += 1
+        if isinstance(exc, SpecError):
+            return 400, str(exc)
+        return 500, f"{type(exc).__name__}: {exc}"
 
     async def _execute(self, request: HttpRequest,
                        writer: asyncio.StreamWriter) -> bool:
-        """Parse, answer warm from the store, else compute (coalesced)."""
-        loop = asyncio.get_running_loop()
+        """Parse, then answer plain or streamed from :meth:`_result`."""
+        spec = ExperimentSpec.coerce(request.json())
+        if request.flag("stream"):
+            return await self._stream(spec, writer)
         try:
-            spec = ExperimentSpec.coerce(request.json())
-        except SpecError:
+            result = await self._result(spec, self.request_timeout)
+        except asyncio.TimeoutError:
             raise
-        stream = request.flag("stream")
+        except Exception as exc:  # noqa: BLE001 -- service boundary
+            status, message = self._failure(exc)
+            await write_json(writer, status, {"error": message})
+            return status < 500
+        await write_json(writer, 200, {
+            "cached": result.cached,
+            "result": result.to_dict(include_telemetry=False)})
+        return True
 
-        # Warm path: the store answers off-loop, before any queueing.
+    async def _result(
+        self,
+        spec: ExperimentSpec,
+        timeout: Optional[float],
+        on_point: Optional[Callable[[Any], None]] = None,
+    ) -> RunResult:
+        """Warm from the store, else one coalesced :meth:`Session.run`.
+
+        The store answers off-loop before any queueing.  A miss joins
+        (or leads) the in-flight computation for the spec's run key;
+        ``on_point`` reaches ``Session.run`` only when this request
+        leads.  ``timeout`` bounds the wait, never the computation.
+        A leader counts in :attr:`computations` unless its
+        ``Session.run`` answered from the store.
+        """
+        loop = asyncio.get_running_loop()
         cached = await loop.run_in_executor(
             self.executor, self.session.lookup, spec)
         if cached is not None:
             self.store_hits += 1
-            return await self._respond(writer, cached, stream)
-
+            return cached
         key = await loop.run_in_executor(
             self.executor, Session.run_key, spec)
-        if spec.kind == "sweep":
-            return await self._run_sweep(spec, key, stream, writer)
-        return await self._run_solo(spec, key, stream, writer)
 
-    async def _run_solo(self, spec: ExperimentSpec, key: str,
-                        stream: bool,
-                        writer: asyncio.StreamWriter) -> bool:
-        """Non-sweep kinds: dedup identical requests, run on a worker."""
+        async def compute() -> RunResult:
+            try:
+                result = await loop.run_in_executor(
+                    self.executor,
+                    functools.partial(self.session.run, spec,
+                                      on_point=on_point))
+            except Exception as exc:
+                self.computations += 1
+                if not isinstance(exc, SpecError):
+                    # Logged once here, not once per coalesced waiter.
+                    logger.warning("computation failed", exc_info=exc)
+                raise
+            # A cached result means the store filled (an identical
+            # leader finished) after this request's pre-check.
+            if not result.cached:
+                self.computations += 1
+            return result
+
+        return await asyncio.wait_for(self.inflight.run(key, compute),
+                                      timeout)
+
+    async def _stream(self, spec: ExperimentSpec,
+                      writer: asyncio.StreamWriter) -> bool:
+        """Chunked NDJSON: point partials, then a result or error line.
+
+        Points reach this coroutine from the executor thread through
+        ``call_soon_threadsafe``, so every one is queued before the
+        computation's completion is, and the end marker queued when
+        this request's wait finishes comes after them all.
+        """
         loop = asyncio.get_running_loop()
+        events: "asyncio.Queue[Optional[Dict[str, Any]]]" = asyncio.Queue()
 
-        async def compute():
-            return await loop.run_in_executor(
-                self.executor, self.session.run, spec)
+        def on_point(point) -> None:
+            event = {"event": "point", "workload": point.workload,
+                     **_point_dict(point)}
+            loop.call_soon_threadsafe(events.put_nowait, event)
 
-        waiter = self.inflight.run(key, compute)
-        if self.request_timeout is not None:
-            result = await asyncio.wait_for(waiter,
-                                            self.request_timeout)
-        else:
-            result = await waiter
-        return await self._respond(writer, result, stream)
-
-    async def _run_sweep(self, spec: ExperimentSpec, key: str,
-                         stream: bool,
-                         writer: asyncio.StreamWriter) -> bool:
-        """Sweeps: micro-batch compatible specs, stream partials."""
-        ticket = self.batcher.submit(spec, key, want_points=stream)
-        if not stream:
-            waiter = asyncio.shield(ticket.future)
-            if self.request_timeout is not None:
-                result = await asyncio.wait_for(waiter,
-                                                self.request_timeout)
-            else:
-                result = await waiter
-            return await self._respond(writer, result, False)
+        def finished(task: "asyncio.Task") -> None:
+            if not task.cancelled():
+                task.exception()  # observed here; re-raised below
+            events.put_nowait(None)
 
         self.streams += 1
-        ndjson = NdjsonStream(writer)
-        await ndjson.start()
-        while True:
-            kind, payload = await ticket.queue.get()
-            if kind == "end":
-                break
-            await ndjson.send(payload)
-        result = await asyncio.shield(ticket.future)
-        await ndjson.send({"event": "result", "cached": result.cached,
-                           "result": result.to_dict(
-                               include_telemetry=False)})
-        await ndjson.close()
-        return False
-
-    async def _respond(self, writer: asyncio.StreamWriter,
-                       result, stream: bool) -> bool:
-        """Write one final result (plain JSON or a one-line stream)."""
-        document = result.to_dict(include_telemetry=False)
-        if stream:
-            self.streams += 1
+        waiter = loop.create_task(self._result(spec, None, on_point))
+        waiter.add_done_callback(finished)
+        try:
             ndjson = NdjsonStream(writer)
             await ndjson.start()
-            await ndjson.send({"event": "result",
-                               "cached": result.cached,
-                               "result": document})
+            while True:
+                event = await events.get()
+                if event is None:
+                    break
+                await ndjson.send(event)
+            try:
+                result = waiter.result()
+            except Exception as exc:  # noqa: BLE001 -- service boundary
+                status, message = self._failure(exc)
+                await ndjson.send({"event": "error", "status": status,
+                                   "error": message})
+            else:
+                await ndjson.send({
+                    "event": "result", "cached": result.cached,
+                    "result": result.to_dict(include_telemetry=False)})
             await ndjson.close()
             return False
-        await write_json(writer, 200, {"cached": result.cached,
-                                       "result": document})
-        return True
+        finally:
+            waiter.cancel()
 
 
 class ServerThread:

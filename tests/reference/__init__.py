@@ -10,7 +10,10 @@ worked example and compare with the stepped windows the profiler uses,
 plus the chain interpolation that refitted its segment on every call.
 ``branch.py`` and ``mlp.py`` keep the model helpers' plain loops (the
 leaky bucket stepped to the end of the interval, the per-window rescan
-of the virtual stream) that the bounded-cost helpers must match.
+of the virtual stream) that the bounded-cost helpers must match, and
+``model.py`` keeps the per-configuration walk of the whole model (the
+former scalar ``predict``, activity derivation and memory-side
+penalties) that the batched kernel must match.
 They live with the tests, not in the package, so the package ships
 one implementation per mechanism.  The columnar-profiler and
 batched-model benchmark gates (``benchmarks/bench_profiler.py``,

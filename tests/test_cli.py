@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 class TestWorkloadsCommand:
@@ -333,6 +333,16 @@ class TestServeCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "max_entries" in err
+
+    @pytest.mark.parametrize("argv", [["--batch-window", "0.05"],
+                                      ["--max-batch", "4"]])
+    def test_batching_flags_are_gone(self, argv, capsys):
+        # Sweeps are never micro-batched, so argparse rejects the
+        # batching knobs before a server starts.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", "--port", "0"] + argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestParser:

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from equivalence import assert_points_identical as _assert_points_identical
+from reference.model import predict_scalar
 from repro.api.pool import grid_tasks
 from repro.core import AnalyticalModel, design_space, nehalem
 from repro.core.interval import ModelCache
@@ -26,10 +27,11 @@ SPACE = {"dispatch_width": (2, 4), "llc_mb": (2, 8), "rob_size": (64, 128)}
 
 class TestSweepEngine:
     def test_serial_matches_legacy_loop(self, gcc_profile):
-        """Engine results are bitwise identical to a plain predict loop."""
+        """Engine results are bitwise identical to the oracle's
+        per-config loop."""
         configs = design_space(SPACE)
         model = AnalyticalModel()
-        legacy = [model.predict(gcc_profile, c) for c in configs]
+        legacy = [predict_scalar(model, gcc_profile, c) for c in configs]
         results = SweepEngine(workers=1).sweep([gcc_profile], configs)
         points = results["gcc"]
         assert len(points) == len(configs)

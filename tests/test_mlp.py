@@ -1,9 +1,11 @@
 """MLP model tests: cold-miss model, stride model, MSHR cap, bus queue."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference.mlp import stride_mlp_scalar
+from reference.model import mshr_soft_cap_scalar
 from repro.core.machine import MachineConfig
 from repro.core.memory_model import bus_queue_cycles, mshr_soft_cap
 from repro.core.mlp import (
@@ -88,28 +90,51 @@ class TestColdMissMLP:
 class TestMSHRSoftCap:
     def test_below_capacity_unchanged(self):
         config = MachineConfig(mshr_entries=10)
-        assert mshr_soft_cap(5.0, config) == 5.0
+        assert mshr_soft_cap(5.0, config.mshr_entries,
+                             config.dram_latency) == 5.0
 
     def test_above_capacity_soft_capped(self):
         config = MachineConfig(mshr_entries=10, dram_latency=200)
-        capped = mshr_soft_cap(20.0, config)
+        capped = mshr_soft_cap(20.0, config.mshr_entries,
+                               config.dram_latency)
         assert 10.0 < capped < 20.0
 
     def test_eq_4_4_value(self):
         # MLP = M + W * (T - T_free)/T with M=10, T=200, raw=20 (W=10):
         # T_free = (10+1)/2 * 200/10 = 110 -> 10 + 10 * 90/200 = 14.5.
         config = MachineConfig(mshr_entries=10, dram_latency=200)
-        assert mshr_soft_cap(20.0, config) == pytest.approx(14.5)
+        assert mshr_soft_cap(20.0, config.mshr_entries,
+                             config.dram_latency) == pytest.approx(14.5)
 
     def test_deep_overflow_approaches_hard_cap(self):
         config = MachineConfig(mshr_entries=6, dram_latency=200)
-        assert mshr_soft_cap(60.0, config) == pytest.approx(6.0)
+        assert mshr_soft_cap(60.0, config.mshr_entries,
+                             config.dram_latency) == pytest.approx(6.0)
 
     @given(st.floats(min_value=1.0, max_value=64.0))
     @settings(max_examples=50, deadline=None)
     def test_cap_never_increases(self, mlp):
         config = MachineConfig(mshr_entries=8)
-        assert mshr_soft_cap(mlp, config) <= mlp + 1e-9
+        assert mshr_soft_cap(mlp, config.mshr_entries,
+                             config.dram_latency) <= mlp + 1e-9
+
+    @given(
+        mlps=st.lists(st.floats(1.0, 128.0), min_size=1, max_size=8),
+        entries=st.sampled_from([0, 1, 4, 10, 64]),
+        dram=st.sampled_from([1, 100, 200, 400]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_elementwise_matches_scalar_oracle(self, mlps, entries, dram):
+        # One batch axis through the elementwise cap equals the scalar
+        # oracle per element, bit for bit.
+        config = MachineConfig(mshr_entries=entries, dram_latency=dram)
+        n = len(mlps)
+        batch = mshr_soft_cap(
+            np.array(mlps), np.full(n, entries, dtype=np.int64),
+            np.full(n, dram, dtype=np.int64),
+        ).tolist()
+        oracle = [mshr_soft_cap_scalar(m, config) for m in mlps]
+        assert [v.hex() for v in batch] == [v.hex() for v in oracle]
 
 
 class TestBusQueue:

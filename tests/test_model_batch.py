@@ -26,7 +26,11 @@ from equivalence import (
     profiles,
     table_slices,
 )
-from reference.model import ScalarModel, predict_batch_scalar
+from reference.model import (
+    ScalarModel,
+    predict_batch_scalar,
+    predict_scalar,
+)
 from repro.api import Session
 from repro.cli import build_parser
 from repro.core import AnalyticalModel, BatchConfigs, ModelCache, nehalem
@@ -34,7 +38,16 @@ from repro.core.machine import config_from_params
 from repro.explore.engine import SweepEngine
 from repro.explore.search import SearchProblem, get_objective, make_optimizer
 from repro.explore.space import DesignSpace, Parameter
-from repro.profiler import profile_application
+from repro.isa import MacroOp
+from repro.profiler import SamplingConfig, profile_application
+from repro.workloads import generate_trace
+from repro.workloads.generator import (
+    AluSpec,
+    BranchSpec,
+    KernelSpec,
+    LoadSpec,
+    WorkloadSpec,
+)
 
 #: A small mixed batch hitting the model's branchy corners: narrow and
 #: wide pipelines, tiny and huge ROBs, prefetch on, saturated MSHRs.
@@ -47,6 +60,34 @@ CORNER_CONFIGS = [
     nehalem(),
     nehalem(),  # duplicate on purpose: stresses the gather indices
 ]
+
+#: Small ROBs on narrow and wide pipelines: where chained LLC hits
+#: outlast the ROB fill time (Eqs 4.7-4.12), plus the corners above.
+CHAIN_CONFIGS = CORNER_CONFIGS + [
+    config_from_params({"dispatch_width": 8, "rob_size": 16}),
+    config_from_params({"dispatch_width": 4, "rob_size": 32,
+                        "l2_kb": 128}),
+]
+
+#: A loop whose first load streams a region between the L2 and LLC
+#: sizes while its second stays L1-resident, so about half the loads
+#: hit the LLC.  The suite workloads the other tests profile have a
+#: chained-LLC-hit penalty of 0.0 on these configs, which would leave
+#: that term of the kernel unchecked.
+LLC_RESIDENT = WorkloadSpec("llc-resident", [KernelSpec("k", [
+    LoadSpec(dst=1, pattern="stride", strides=(64,), region=384 << 10),
+    LoadSpec(dst=2, pattern="stride", strides=(64,), region=8 << 10,
+             base=1 << 23),
+    AluSpec(MacroOp.INT_ALU, 3, (1, 2)),
+    BranchSpec(pattern="loop"),
+], iterations=12_000)], seed=3)
+
+
+@pytest.fixture(scope="module")
+def llc_profile():
+    """A 60k-instruction profile of :data:`LLC_RESIDENT`."""
+    trace = generate_trace(LLC_RESIDENT, max_instructions=60_000)
+    return profile_application(trace, SamplingConfig(1000, 5000))
 
 
 #: How each side of a cache-warming comparison evaluates a batch.
@@ -79,11 +120,15 @@ class TestBatchDifferential:
         assert_cache_states_equal(scalar_cache, batch_cache)
 
     def test_single_config_matches_scalar_predict(self, gcc_profile):
-        model = AnalyticalModel()
-        reference = model.predict(gcc_profile, nehalem())
+        # predict is a one-config batch: both it and predict_batch must
+        # equal the oracle's per-config walk.
+        reference = predict_scalar(AnalyticalModel(), gcc_profile,
+                                   nehalem())
         (result,) = AnalyticalModel().predict_batch(gcc_profile,
                                                     [nehalem()])
         assert_results_bitwise(result, reference)
+        single = AnalyticalModel().predict(gcc_profile, nehalem())
+        assert_results_bitwise(single, reference)
 
     def test_prebuilt_batchconfigs_accepted(self, gcc_profile):
         prebuilt = BatchConfigs(CORNER_CONFIGS)
@@ -97,6 +142,25 @@ class TestBatchDifferential:
     def test_mlp_model_variants_bitwise(self, gcc_profile, mlp_model):
         scalar, batch, scalar_cache, batch_cache = _both(
             gcc_profile, CORNER_CONFIGS, mlp_model=mlp_model)
+        assert_result_lists_bitwise(scalar, batch)
+        assert_cache_states_equal(scalar_cache, batch_cache)
+
+    @pytest.mark.parametrize("mlp_model", ["stride", "cold"])
+    def test_chained_llc_hits_bitwise(self, llc_profile, mlp_model):
+        scalar, batch, scalar_cache, batch_cache = _both(
+            llc_profile, CHAIN_CONFIGS, mlp_model=mlp_model)
+        # Not vacuous: the chain penalty is live on the small ROBs.
+        assert sum(r.performance.stack["llc_chain"] > 0.0
+                   for r in batch) >= 2
+        assert_result_lists_bitwise(scalar, batch)
+        assert_cache_states_equal(scalar_cache, batch_cache)
+
+    @given(configs=config_batches(min_size=1))
+    @settings(max_examples=25, deadline=None)
+    def test_chained_llc_hits_random_batches_bitwise(self, llc_profile,
+                                                     configs):
+        scalar, batch, scalar_cache, batch_cache = _both(llc_profile,
+                                                         configs)
         assert_result_lists_bitwise(scalar, batch)
         assert_cache_states_equal(scalar_cache, batch_cache)
 

@@ -1,5 +1,5 @@
 """Service-layer tests: protocol units, the run store, request
-coalescing, sweep batching/streaming determinism, disconnect isolation,
+coalescing, streaming determinism, error paths, disconnect isolation,
 graceful drain, and the chaos leg's bitwise-identity contract.
 
 Counter-exact tests neutralize any externally supplied fault plan (the
@@ -19,6 +19,7 @@ import repro.api
 import repro.serve
 from repro.api import ExperimentSpec, Session
 from repro.api.runstore import RunStore
+from repro.api.session import _point_dict
 from repro.faults import RetryPolicy, inject
 from repro.serve import (
     InflightTable,
@@ -322,11 +323,32 @@ class TestCoalescing:
         assert stats["server"]["store_hits"] == 1
         assert stats["server"]["computations"] == 1
 
-    def test_compatible_sweeps_merge_into_one_engine_pass(self, tmp_path):
+    def test_leader_answered_by_the_store_is_not_a_computation(
+            self, tmp_path):
+        # The store can fill between a request's pre-check and its
+        # turn on the session lock (an identical leader finishing);
+        # Session.run then answers from the store: no computation.
         store = RunStore(str(tmp_path / "runs"))
         session = Session(workers=1, run_store=store)
-        # A wide batch window so both arrivals reliably share a round.
-        with ServerThread(session, port=0, batch_window=0.75) as thread:
+        session.run(ExperimentSpec.coerce(SWEEP))
+        session.lookup = lambda spec: None   # the pre-check missed
+        with ServerThread(session, port=0) as thread:
+            reply = request_run(HOST, thread.port, SWEEP, timeout=120)
+            stats = get_json(HOST, thread.port, "/stats")
+        session.close()
+        assert reply["cached"] is True
+        assert stats["dedup"]["leaders"] == 1
+        assert stats["server"]["computations"] == 0
+        assert stats["server"]["coalesced"] == 1
+        assert stats["batch"] == {"computed": 0, "merged": 0}
+
+    def test_compatible_sweeps_merge_into_one_engine_pass(self, tmp_path):
+        # Sweeps that differ only in workloads no longer merge: each is
+        # its own Session.run, and each reply holds only its own
+        # workloads, equal to the same spec run solo.
+        store = RunStore(str(tmp_path / "runs"))
+        session = Session(workers=1, run_store=store)
+        with ServerThread(session, port=0) as thread:
             replies = [None, None]
             barrier = threading.Barrier(2)
 
@@ -345,28 +367,32 @@ class TestCoalescing:
                 t.join()
             stats = get_json(HOST, thread.port, "/stats")
         session.close()
-        assert stats["batch"]["groups"] == 1
-        assert stats["batch"]["merged"] == 1
+        assert stats["server"]["computations"] == 2
+        assert stats["batch"] == {"computed": 2, "merged": 0}
         # Each reply covers exactly its own workloads.
         assert [w["workload"]
                 for w in _result(replies[0])["workloads"]] == ["gcc"]
         assert [w["workload"]
                 for w in _result(replies[1])["workloads"]] == ["gcc",
                                                                "mcf"]
+        with Session(workers=1) as direct:
+            for spec, reply in zip((SWEEP, SWEEP_TWO), replies):
+                solo = direct.run(ExperimentSpec.coerce(spec))
+                assert _strip(_result(reply)) == _strip(
+                    solo.to_dict()["data"])
 
 
 # ----------------------------------------------------------------------
-# Streaming determinism & batched-vs-solo identity
+# Streaming determinism & served-vs-solo identity
 # ----------------------------------------------------------------------
 
 
-def _streamed_sweep(tmp_path, tag, spec=SWEEP_TWO, batch_window=0.02):
+def _streamed_sweep(tmp_path, tag, spec=SWEEP_TWO):
     """One cold streamed sweep on a fresh server; returns (points, reply)."""
     store = RunStore(str(tmp_path / f"runs-{tag}"))
     session = Session(workers=1, run_store=store)
     points = []
-    with ServerThread(session, port=0,
-                      batch_window=batch_window) as thread:
+    with ServerThread(session, port=0) as thread:
         reply = request_run(HOST, thread.port, spec, stream=True,
                             timeout=120, on_point=points.append)
     session.close()
@@ -388,6 +414,67 @@ class TestStreaming:
         with Session(workers=1) as direct:
             solo = direct.run(ExperimentSpec.coerce(SWEEP_TWO))
         assert _strip(_result(reply)) == _strip(solo.to_dict()["data"])
+
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_served_predict_matches_direct_session_run(self, serve,
+                                                       stream):
+        # Every kind computes through Session.run; only sweeps stream
+        # points, so a predict's on_point is never called.
+        points = []
+        reply = request_run(HOST, serve.port, PREDICT, stream=stream,
+                            timeout=120, on_point=points.append)
+        with Session(workers=1) as direct:
+            solo = direct.run(ExperimentSpec.coerce(PREDICT),
+                              on_point=points.append)
+        assert points == []
+        assert _strip(_result(reply)) == _strip(solo.to_dict()["data"])
+
+    def test_concurrent_identical_streams_compute_once(self, tmp_path):
+        # One computation; the leader's client gets every point in
+        # engine order, a follower gets the result line only, and all
+        # results are identical.
+        expected = []
+        with Session(workers=1) as direct:
+            solo = direct.run(ExperimentSpec.coerce(SWEEP_TWO),
+                              on_point=expected.append)
+        expected = [{"event": "point", "workload": p.workload,
+                     **_point_dict(p)} for p in expected]
+        assert [p["workload"] for p in expected] == (["gcc"] * 4
+                                                     + ["mcf"] * 4)
+
+        n = 6
+        store = RunStore(str(tmp_path / "runs"))
+        session = Session(workers=1, run_store=store)
+        points = [[] for _ in range(n)]
+        replies = [None] * n
+        barrier = threading.Barrier(n)
+
+        def fire(i):
+            barrier.wait()
+            replies[i] = request_run(HOST, thread.port, SWEEP_TWO,
+                                     stream=True, timeout=120,
+                                     on_point=points[i].append)
+
+        with ServerThread(session, port=0) as thread:
+            threads = [threading.Thread(target=fire, args=(i,))
+                       for i in range(n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            stats = get_json(HOST, thread.port, "/stats")
+        session.close()
+
+        assert stats["server"]["computations"] == 1
+        assert stats["server"]["coalesced"] == n - 1
+        assert stats["server"]["streams"] == n
+        payloads = {json.dumps(_strip(_result(reply)), sort_keys=True)
+                    for reply in replies}
+        assert payloads == {json.dumps(_strip(solo.to_dict()["data"]),
+                                       sort_keys=True)}
+        assert all(got in (expected, []) for got in points)
+        assert points.count(expected) == 1
 
     def test_streamed_warm_hit_sends_result_only(self, serve):
         request_run(HOST, serve.port, SWEEP, timeout=120)
@@ -420,6 +507,152 @@ class TestDisconnect:
         assert health["status"] == "ok"
 
 
+class TestErrors:
+    """A failed computation is answered, counted as an error and never
+    as a disconnect; a stream that fails after its headers ends with
+    one error line and closes."""
+
+    @staticmethod
+    def _missing_specs(tmp_path):
+        missing = str(tmp_path / "missing.json")
+        return missing, [
+            {"kind": "predict", "params": {"profile": missing}},
+            {"kind": "sweep", "params": {"workloads": ["gcc"],
+                                         "space": missing, "limit": 2,
+                                         "instructions": 3000}},
+        ]
+
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_missing_file_is_a_500(self, serve, tmp_path, stream):
+        missing, specs = self._missing_specs(tmp_path)
+        for spec in specs:
+            with pytest.raises(ServeError) as err:
+                request_run(HOST, serve.port, spec, stream=stream,
+                            timeout=60)
+            assert err.value.status == 500
+            assert "FileNotFoundError" in str(err.value)
+            assert missing in str(err.value)
+        stats = get_json(HOST, serve.port, "/stats")
+        assert stats["server"]["errors"] == len(specs)
+        assert stats["server"]["disconnects"] == 0
+        assert stats["server"]["streams"] == (len(specs) if stream
+                                              else 0)
+
+    def test_streamed_failure_after_headers_ends_the_stream(
+            self, serve, tmp_path, gcc_profile):
+        from repro.profiler.serialization import save_profile
+
+        paths = [str(tmp_path / f"gcc-{i}.profile") for i in range(2)]
+        for path in paths:
+            save_profile(gcc_profile, path)
+        spec = {"kind": "sweep", "params": {"profiles": paths,
+                                            "limit": 2}}
+        body = json.dumps(spec).encode()
+        raw = b""
+        with socket.create_connection((HOST, serve.port),
+                                      timeout=60) as client:
+            client.sendall(
+                b"POST /run?stream=1 HTTP/1.1\r\n"
+                b"Host: test\r\n"
+                b"Content-Type: application/json\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode()
+                + body)
+            while True:  # the server must close; a hang times out here
+                data = client.recv(65536)
+                if not data:
+                    break
+                raw += data
+
+        head, _, chunked = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 OK")
+        assert chunked.endswith(b"0\r\n\r\n")
+        assert b"HTTP/1.1 400" not in chunked
+        lines = [line for line in chunked.split(b"\r\n")
+                 if line.startswith(b"{")]
+        assert len(lines) == 1
+        event = json.loads(lines[0])
+        assert event["event"] == "error"
+        assert event["status"] == 400
+        assert "duplicate profile name(s): gcc" in event["error"]
+
+        with pytest.raises(ServeError) as err:
+            request_run(HOST, serve.port, spec, stream=True, timeout=60)
+        assert err.value.status == 400
+        stats = get_json(HOST, serve.port, "/stats")
+        assert stats["server"]["errors"] == 2
+        assert stats["server"]["disconnects"] == 0
+
+
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_spec_the_parser_cannot_read_is_answered(self, serve,
+                                                     stream):
+        # Neither spec fails as a SpecError: parsing raises TypeError
+        # (a str limit compared with 0, a list kind used as a key).
+        # The last-resort handler answers it before any stream starts.
+        specs = [
+            {"kind": "sweep", "params": {"workloads": ["gcc"],
+                                         "limit": "4"}},
+            {"kind": ["sweep"]},
+        ]
+        for spec in specs:
+            with pytest.raises(ServeError) as err:
+                request_run(HOST, serve.port, spec, stream=stream,
+                            timeout=60)
+            assert err.value.status == 500
+            assert "TypeError" in str(err.value)
+        stats = get_json(HOST, serve.port, "/stats")
+        assert stats["server"]["errors"] == 2
+        assert stats["server"]["disconnects"] == 0
+        assert stats["server"]["streams"] == 0
+        assert get_json(HOST, serve.port, "/health")["status"] == "ok"
+
+    def test_coalesced_failure_is_logged_once(self, caplog):
+        # Four requests wait on one failing Session.run: each is
+        # answered and counted, the traceback is logged once.
+        n = 4
+        session = Session(workers=1)
+        release = threading.Event()
+
+        def failing_run(spec, on_point=None):
+            release.wait(60)
+            raise RuntimeError("engine failed")
+
+        session.run = failing_run
+        statuses = [None] * n
+
+        def fire(i):
+            try:
+                request_run(HOST, thread.port, SWEEP, timeout=120)
+            except ServeError as exc:
+                statuses[i] = exc.status
+
+        import time
+        with caplog.at_level("WARNING", logger="repro.serve.server"):
+            with ServerThread(session, port=0) as thread:
+                threads = [threading.Thread(target=fire, args=(i,))
+                           for i in range(n)]
+                for t in threads:
+                    t.start()
+                for _ in range(1000):
+                    dedup = get_json(HOST, thread.port, "/stats")["dedup"]
+                    if dedup["followers"] == n - 1:
+                        break
+                    time.sleep(0.01)
+                release.set()
+                for t in threads:
+                    t.join(timeout=60)
+                stats = get_json(HOST, thread.port, "/stats")
+        session.close()
+
+        assert dedup == {"leaders": 1, "followers": n - 1, "inflight": 1}
+        assert statuses == [500] * n
+        assert stats["server"]["errors"] == n
+        logged = [record for record in caplog.records
+                  if record.getMessage() == "computation failed"]
+        assert len(logged) == 1
+        assert "engine failed" in str(logged[0].exc_info[1])
+
+
 class TestServiceSurface:
     def test_unknown_route_and_method_errors(self, serve):
         with pytest.raises(ServeError) as err:
@@ -431,6 +664,21 @@ class TestServiceSurface:
         except ServeError as exc:
             conn_err = exc
         assert conn_err is not None and conn_err.status == 400
+
+    def test_batching_knobs_are_gone(self, serve):
+        from repro.serve import ExperimentServer
+
+        session = Session(workers=1)
+        try:
+            for knob in ({"batch_window": 0.05}, {"max_batch": 4}):
+                with pytest.raises(TypeError):
+                    ExperimentServer(session, HOST, 0, **knob)
+        finally:
+            session.close()
+        assert not hasattr(repro.serve, "SweepBatcher")
+        request_run(HOST, serve.port, SWEEP, timeout=120)
+        stats = get_json(HOST, serve.port, "/stats")
+        assert stats["batch"] == {"computed": 1, "merged": 0}
 
     def test_metrics_endpoint_reports_disabled_without_telemetry(
             self, serve):
@@ -461,6 +709,31 @@ class TestServiceSurface:
         session.close()
         assert "workloads" in _result(reply_box["reply"])
 
+    def test_drain_closes_idle_keep_alive_connections(self):
+        # A client parked between requests has nothing in flight: the
+        # drain closes its connection at once instead of waiting out
+        # drain_timeout for a request that may never come.
+        import http.client
+        import time
+
+        session = Session(workers=1)
+        thread = ServerThread(session, port=0, drain_timeout=10.0)
+        thread.__enter__()
+        conn = http.client.HTTPConnection(HOST, thread.port, timeout=30)
+        try:
+            conn.request("GET", "/health")
+            with conn.getresponse() as response:
+                assert response.status == 200
+                response.read()
+            start = time.monotonic()
+            thread.stop()
+            elapsed = time.monotonic() - start
+            assert conn.sock.recv(1) == b""   # closed by the server
+        finally:
+            conn.close()
+            session.close()
+        assert elapsed < 5.0
+
 
 # ----------------------------------------------------------------------
 # Chaos: the serve suite under fault injection stays bitwise identical
@@ -481,8 +754,7 @@ class TestChaosServe:
                             backoff_base=0.001, backoff_max=0.01)
         session = Session(workers=1, run_store=store, retry=retry)
         chaos_points = []
-        with ServerThread(session, port=0,
-                          batch_window=0.02) as thread:
+        with ServerThread(session, port=0) as thread:
             chaos_reply = request_run(HOST, thread.port, SWEEP_TWO,
                                       stream=True, timeout=120,
                                       on_point=chaos_points.append)
