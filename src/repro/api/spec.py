@@ -27,6 +27,7 @@ True
 from __future__ import annotations
 
 import json
+import numbers
 from typing import Any, Dict, IO, List, Mapping, Optional, Union
 
 from repro.profiler.serialization import canonical_fingerprint
@@ -127,6 +128,15 @@ _SCHEMAS: Dict[str, Dict[str, Any]] = {
         **_PROFILING,
     },
 }
+
+#: Parameters that take a number, or ``None`` where that is the default.
+#: Checked, never coerced, so a valid spec keeps its fingerprint.
+_NUMERIC = frozenset({
+    "instructions", "micro_trace", "window", "seed", "trace_seed",
+    "reuse_sample_rate", "reuse_seed", "width", "rob", "llc_mb",
+    "frequency", "limit", "power_cap", "budget", "population",
+    "batch_size", "train_fraction",
+})
 
 #: The experiment kinds a :class:`~repro.api.session.Session` can run.
 EXPERIMENT_KINDS = tuple(sorted(_SCHEMAS))
@@ -233,6 +243,8 @@ class ExperimentSpec:
         params: Optional[Mapping[str, Any]] = None,
         **kwargs: Any,
     ) -> None:
+        if not isinstance(kind, str):
+            raise SpecError(f"spec 'kind' must be a string, got {kind!r}")
         if kind not in _SCHEMAS:
             raise SpecError(
                 f"unknown experiment kind {kind!r} "
@@ -257,6 +269,16 @@ class ExperimentSpec:
         for key in ("workloads", "profiles"):
             if key in full and full[key] is not None:
                 full[key] = _name_list(kind, key, full[key])
+        for key, value in full.items():
+            if key not in _NUMERIC or (value is None
+                                       and schema[key] is None):
+                continue
+            if isinstance(value, bool) or not isinstance(value,
+                                                         numbers.Real):
+                raise SpecError(
+                    f"{kind} spec parameter {key!r} must be a number, "
+                    f"got {value!r}"
+                )
         if kind == "dvfs" and full["frequencies"] is not None:
             try:
                 full["frequencies"] = [

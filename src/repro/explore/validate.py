@@ -148,8 +148,11 @@ class SimulationSweep:
     Traces reach the pool in columnar form: ``Trace`` pickles as its
     :class:`~repro.workloads.columns.TraceColumns` arrays (never a
     per-``Instruction`` object list), which serializes orders of
-    magnitude faster; each worker materializes the object view lazily,
-    once, on first iteration.
+    magnitude faster, and the simulator reads those columns directly.
+    The timing-independent outcome columns a simulation memoizes on a
+    trace are not pickled: each worker computes its own, once per
+    trace and cache geometry or predictor, and shares them across the
+    configurations of its tasks.
 
     Parameters
     ----------

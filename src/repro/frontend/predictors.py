@@ -12,9 +12,12 @@ pattern-history-table counter bits (2 bits per counter); 4 KB = 32768 bits
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Sequence, Tuple
+
+import numpy as np
 
 from repro.isa import Instruction
+from repro.workloads.columns import TraceColumns
 from repro.workloads.trace import Trace
 
 
@@ -201,21 +204,35 @@ def make_predictor(name: str) -> BranchPredictor:
         ) from None
 
 
+def branch_outcomes(
+    predictor: BranchPredictor, columns: TraceColumns
+) -> np.ndarray:
+    """Whether ``predictor`` predicts each branch of ``columns``.
+
+    One ``predict_and_update`` per conditional branch, in program
+    order; returns one ``bool`` per branch (``True`` = correct).  The
+    cycle-level simulator's branch pass and :func:`simulate_predictor`
+    both walk the predictor here.
+    """
+    branch = columns.is_branch
+    pcs = columns.pc[branch].tolist()
+    return np.fromiter(
+        map(predictor.predict_and_update, pcs,
+            columns.taken[branch].tolist()),
+        np.bool_, count=len(pcs),
+    )
+
+
 def simulate_predictor(
-    predictor: BranchPredictor, trace: Iterable[Instruction]
+    predictor: BranchPredictor, trace: Sequence[Instruction]
 ) -> Tuple[int, int]:
-    """Run a predictor over a trace.
+    """Run a predictor over a trace (a ``Trace``, ``TraceColumns`` or
+    ``Instruction`` sequence).
 
     Returns ``(num_branches, num_mispredictions)``.
     """
-    branches = 0
-    misses = 0
-    for instr in trace:
-        if instr.is_branch:
-            branches += 1
-            if not predictor.predict_and_update(instr.pc, instr.taken):
-                misses += 1
-    return branches, misses
+    correct = branch_outcomes(predictor, TraceColumns.ensure(trace))
+    return len(correct), len(correct) - int(np.count_nonzero(correct))
 
 
 def misprediction_rate(predictor: BranchPredictor, trace: Trace) -> float:

@@ -326,11 +326,12 @@ class ExperimentServer:
                          writer: asyncio.StreamWriter) -> bool:
         """Admission control + error envelope around :meth:`_execute`.
 
-        Failed computations are answered inside :meth:`_execute`; what
-        reaches the socket-error handler here is a client that went
-        away while its request was read or its reply written.  Any
-        other exception (say a spec that breaks the parser) is answered
-        by the last clause, and the connection closes.
+        Failed computations are answered inside :meth:`_execute`; a
+        spec the parser rejects is answered 400 and counted in
+        ``errors`` like them.  What reaches the socket-error handler
+        here is a client that went away while its request was read or
+        its reply written.  Any other exception is answered by the last
+        clause, and the connection closes.
         """
         if self._draining:
             self.shed += 1
@@ -349,7 +350,8 @@ class ExperimentServer:
             await write_json(writer, exc.status, {"error": str(exc)})
             return True
         except SpecError as exc:
-            await write_json(writer, 400, {"error": str(exc)})
+            status, message = self._failure(exc)
+            await write_json(writer, status, {"error": message})
             return True
         except asyncio.TimeoutError:
             self.timeouts += 1

@@ -2,26 +2,30 @@
 
 A :class:`Trace` is an in-memory dynamic instruction stream -- the unit of
 work every profiler and simulator in this package consumes.  Traces are
-immutable once built; all tools iterate over them without mutation so one
+immutable once built; all tools read them without mutation so one
 trace can feed the profiler, the reference simulator and validation tools.
 
 A trace keeps two interchangeable representations of the same stream:
 
 * the **object view** -- a list of :class:`~repro.isa.Instruction` --
-  for the cycle-level simulator and any per-instruction consumer;
+  for the generator and any per-instruction consumer;
 * the **columnar view** -- :class:`~repro.workloads.columns.TraceColumns`
-  structure-of-arrays -- for the vectorized profiling passes.
+  structure-of-arrays -- for the vectorized profiling passes and the
+  cycle-level simulator.
 
 Either view is built lazily from the other and cached, and pickling
 always ships the columnar form (seven flat arrays) rather than the
 object list, so worker processes receive compact buffers and rebuild
-``Instruction`` objects only if they actually iterate them.
+``Instruction`` objects only if they actually iterate them.  Data
+derived from the stream -- :meth:`Trace.stats` and the simulator's
+outcome columns (:attr:`Trace.sim_outcomes`) -- is cached on the trace
+too; the outcome columns are never pickled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Hashable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -67,6 +71,10 @@ class Trace:
         self.name = name
         self.seed = seed
         self._stats: Optional[TraceStats] = None  # lazily computed
+        #: Timing-independent simulator outcomes (cache hit levels,
+        #: branch predictions) by key, filled by
+        #: :mod:`repro.simulator`; derived data, never pickled.
+        self.sim_outcomes: Dict[Hashable, Any] = {}
 
     def __len__(self) -> int:
         if self._instructions is not None:
@@ -164,3 +172,4 @@ class Trace:
         self._columns = state["columns"]
         self._instructions = None
         self._stats = state["stats"]
+        self.sim_outcomes = {}

@@ -20,7 +20,9 @@ Comparers come in two families:
   :func:`assert_points_identical`, :func:`assert_cache_states_equal`
   compare oracle vs batch model evaluations, sweep points and
   :class:`~repro.core.interval.ModelCache` contents;
-  :func:`predict_both` runs one config batch through both.
+  :func:`predict_both` runs one config batch through both;
+* simulator-side -- :func:`assert_simulations_bitwise` compares two
+  :class:`~repro.simulator.simulator.SimulationResult` field by field.
 
 Cache-state comparison is only meaningful when both sides saw the
 *same profile objects*: cache keys embed ``cache.token(profile)``,
@@ -145,6 +147,24 @@ def assert_points_identical(a, b):
         assert pa.power_watts == pb.power_watts
         assert pa.energy_joules == pb.energy_joules
         assert_results_bitwise(pa.result, pb.result)
+
+
+def assert_simulations_bitwise(a, b):
+    """Two SimulationResults match in every field, bitwise.
+
+    ``repr`` pins what equality does not: int vs float values (``1``
+    vs ``1.0``) and dict insertion order (``stack``,
+    ``activity.uop_kind_counts``), which the power model's float sums
+    depend on.
+    """
+    import dataclasses
+
+    for name in (f.name for f in dataclasses.fields(a)):
+        assert getattr(a, name) == getattr(b, name), name
+    assert list(a.stack) == list(b.stack)
+    assert (list(a.activity.uop_kind_counts)
+            == list(b.activity.uop_kind_counts))
+    assert repr(a) == repr(b)
 
 
 def _values_equal(x, y):

@@ -13,7 +13,10 @@ leaky bucket stepped to the end of the interval, the per-window rescan
 of the virtual stream) that the bounded-cost helpers must match, and
 ``model.py`` keeps the per-configuration walk of the whole model (the
 former scalar ``predict``, activity derivation and memory-side
-penalties) that the batched kernel must match.
+penalties) that the batched kernel must match, and ``simulator.py`` the
+former per-uop cycle-level simulator that walked ``Instruction``
+objects and accessed its caches and predictor inline, which the
+outcome-pass + timing-core simulator must match.
 They live with the tests, not in the package, so the package ships
 one implementation per mechanism.  The columnar-profiler and
 batched-model benchmark gates (``benchmarks/bench_profiler.py``,

@@ -102,6 +102,33 @@ class TestExperimentSpec:
         with pytest.raises(SpecError, match="objective"):
             ExperimentSpec("sweep", workloads=["gcc"], objective="ipc")
 
+    def test_kind_must_be_a_string(self):
+        with pytest.raises(SpecError, match="'kind' must be a string"):
+            ExperimentSpec.from_dict({"kind": ["sweep"]})
+
+    @pytest.mark.parametrize("kind, params", [
+        ("sweep", {"workloads": ["gcc"], "limit": "4"}),
+        ("search", {"workloads": ["gcc"], "budget": "10"}),
+        ("validate", {"workloads": ["gcc"], "train_fraction": "0.5"}),
+        ("sweep", {"workloads": ["gcc"], "instructions": "4000"}),
+        ("predict", {"workload": "gcc", "width": True}),
+        ("profile", {"workloads": ["gcc"], "seed": None}),
+    ])
+    def test_numeric_parameters_must_be_numbers(self, kind, params):
+        (name,) = [key for key in params if key not in
+                   ("workloads", "workload")]
+        with pytest.raises(SpecError, match=f"'{name}' must be a number"):
+            ExperimentSpec.from_dict({"kind": kind, "params": params})
+
+    def test_valid_numbers_are_not_coerced(self):
+        spec = ExperimentSpec("validate", workloads=["gcc"], limit=None,
+                              instructions=4000, train_fraction=0)
+        assert spec.params["limit"] is None
+        assert type(spec.params["train_fraction"]) is int
+        assert spec.fingerprint == ExperimentSpec(
+            "validate", workloads=["gcc"], instructions=4000,
+            train_fraction=0).fingerprint
+
     def test_string_coerced_to_list(self):
         spec = ExperimentSpec("profile", workloads="gcc")
         assert spec.params["workloads"] == ["gcc"]

@@ -586,20 +586,19 @@ class TestErrors:
     @pytest.mark.parametrize("stream", [False, True])
     def test_spec_the_parser_cannot_read_is_answered(self, serve,
                                                      stream):
-        # Neither spec fails as a SpecError: parsing raises TypeError
-        # (a str limit compared with 0, a list kind used as a key).
-        # The last-resort handler answers it before any stream starts.
+        # A str limit and a list kind fail as a SpecError naming the
+        # parameter, answered 400 before any stream starts.
         specs = [
-            {"kind": "sweep", "params": {"workloads": ["gcc"],
-                                         "limit": "4"}},
-            {"kind": ["sweep"]},
+            ({"kind": "sweep", "params": {"workloads": ["gcc"],
+                                          "limit": "4"}}, "'limit'"),
+            ({"kind": ["sweep"]}, "'kind'"),
         ]
-        for spec in specs:
+        for spec, parameter in specs:
             with pytest.raises(ServeError) as err:
                 request_run(HOST, serve.port, spec, stream=stream,
                             timeout=60)
-            assert err.value.status == 500
-            assert "TypeError" in str(err.value)
+            assert err.value.status == 400
+            assert parameter in str(err.value)
         stats = get_json(HOST, serve.port, "/stats")
         assert stats["server"]["errors"] == 2
         assert stats["server"]["disconnects"] == 0

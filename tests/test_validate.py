@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from equivalence import assert_simulations_bitwise
 from repro.core.machine import design_space
 from repro.explore.validate import (
     SimulationSweep,
@@ -45,13 +46,15 @@ class TestSimulationSweep:
         ]
         serial = list(SimulationSweep(workers=1).iter_sweep(
             traces, configs))
+        # Workers receive the traces without the outcome columns the
+        # serial sweep memoized on them, and build their own.
         parallel = list(SimulationSweep(workers=3).iter_sweep(
             traces, configs))
         assert len(serial) == len(parallel) == 2 * len(configs)
         for a, b in zip(serial, parallel):
             assert a.workload == b.workload
             assert a.config.name == b.config.name
-            assert a.result.cycles == b.result.cycles
+            assert_simulations_bitwise(a.result, b.result)
             assert a.power_watts == b.power_watts
 
     def test_trace_major_order(self):
