@@ -20,7 +20,6 @@ from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from repro.isa import Instruction
 from repro.workloads.columns import (
     bernoulli_draws,
     count_histogram,
@@ -201,14 +200,3 @@ def _reuse_profile_from_arrays(
     profile = ReuseProfile(line_size=line_size)
     reuse_sweep_into(profile, addr, is_write, sample_rate, rng)
     return profile
-
-
-def accesses_from_trace(
-    trace: Iterable[Instruction],
-) -> Iterable[Tuple[int, bool]]:
-    """Adapt an instruction trace to the (address, is_write) data stream."""
-    for instr in trace:
-        if instr.is_load:
-            yield instr.addr, False
-        elif instr.is_store:
-            yield instr.addr, True

@@ -9,11 +9,13 @@ become a handful of vectorized sweeps, and shipping a trace to a worker
 process pickles seven flat arrays instead of hundreds of thousands of
 objects.
 
-A :class:`~repro.workloads.trace.Trace` builds its columns once on
-demand and caches them; ``Instruction`` iteration stays available as a
-compatibility view (:meth:`TraceColumns.instructions` materializes the
-object list back).  Both representations are lossless, so every
-profiler output is bitwise identical whichever one feeds it.
+The trace generator builds these arrays directly, one kernel run at a
+time, so a generated :class:`~repro.workloads.trace.Trace` starts out
+columnar; a trace built from ``Instruction`` objects builds its columns
+once on demand and caches them.  ``Instruction`` iteration stays
+available as a compatibility view (:meth:`TraceColumns.instructions`
+materializes the object list).  Both representations are lossless, so
+every profiler output is bitwise identical whichever one feeds it.
 """
 
 from __future__ import annotations

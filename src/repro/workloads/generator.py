@@ -10,15 +10,26 @@ branch entropy).
 Dependences are explicit: every slot names its destination register and its
 source registers, so the static dataflow graph of the kernel (and hence the
 dependence-chain statistics of the trace) is fully determined by the spec.
+
+Generation is columnar: each kernel run expands straight into the seven
+:class:`~repro.workloads.columns.TraceColumns` arrays (static fields
+tiled over the iterations, address cursors and branch outcomes computed
+per slot as arrays), and only the random addresses and outcomes are
+drawn one by one, in execution order, from the spec's seeded
+``random.Random``.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Sequence, Tuple, Union
 
-from repro.isa import Instruction, MacroOp
+import numpy as np
+
+from repro.isa import MacroOp
+from repro.workloads.columns import TraceColumns
 from repro.workloads.trace import Trace
 
 _CACHE_LINE = 64
@@ -124,147 +135,163 @@ class WorkloadSpec:
     seed: int = 42
 
 
-class _SlotState:
-    """Mutable per-static-slot generation state (address cursors)."""
+#: Column dtypes, in :class:`~repro.workloads.columns.TraceColumns`
+#: field order (``pc, op, dst, src1, src2, addr, taken``).
+_DTYPES = (np.int64, np.int16, np.int32, np.int32, np.int32, np.int64,
+           np.bool_)
 
-    __slots__ = ("cursor", "stride_index")
-
-    def __init__(self) -> None:
-        self.cursor = 0
-        self.stride_index = 0
+Columns = Tuple[np.ndarray, ...]
 
 
-def _next_address(
-    spec: Union[LoadSpec, StoreSpec],
-    state: _SlotState,
-    rng: random.Random,
-) -> int:
-    pattern = spec.pattern
-    if pattern in ("stride", "multi_stride"):
-        addr = spec.base + state.cursor % max(spec.region, 1)
-        stride = spec.strides[state.stride_index % len(spec.strides)]
-        state.stride_index += 1
-        state.cursor += stride
-        return addr
-    if pattern in ("random", "chase"):
-        offset = rng.randrange(0, max(spec.region // 8, 1)) * 8
-        return spec.base + offset
-    if pattern == "unique":
-        addr = spec.base + state.cursor
-        state.cursor += _CACHE_LINE
-        return addr
-    raise ValueError(f"unknown address pattern: {pattern!r}")
+def _sources(srcs: Sequence[int]) -> Tuple[int, int]:
+    return (srcs[0] if len(srcs) > 0 else -1,
+            srcs[1] if len(srcs) > 1 else -1)
 
 
-def _branch_taken(
-    spec: BranchSpec,
-    execution_index: int,
-    last_iteration: bool,
-    rng: random.Random,
-) -> bool:
-    if spec.pattern == "loop":
-        return not last_iteration
-    if spec.pattern == "periodic":
-        return execution_index % spec.period == 0
-    if spec.pattern in ("random", "biased"):
-        return rng.random() < spec.taken_prob
-    raise ValueError(f"unknown branch pattern: {spec.pattern!r}")
-
-
-def generate_kernel(
+def _expand_kernel(
     kernel: KernelSpec,
     rng: random.Random,
-    out: List[Instruction],
-) -> None:
-    """Append the dynamic instructions of one kernel run to ``out``."""
-    states = [_SlotState() for _ in kernel.body]
-    exec_counts = [0] * len(kernel.body)
-    for iteration in range(kernel.iterations):
-        last = iteration == kernel.iterations - 1
-        for slot_index, slot in enumerate(kernel.body):
-            pc = kernel.pc_base + 4 * slot_index
-            if isinstance(slot, AluSpec):
-                srcs = slot.srcs
-                out.append(
-                    Instruction(
-                        pc=pc,
-                        op=slot.op,
-                        dst=slot.dst,
-                        src1=srcs[0] if len(srcs) > 0 else -1,
-                        src2=srcs[1] if len(srcs) > 1 else -1,
-                    )
-                )
-            elif isinstance(slot, LoadSpec):
-                addr = _next_address(slot, states[slot_index], rng)
-                srcs = slot.srcs
-                if slot.pattern == "chase":
-                    # Pointer chase: next address comes from loaded value.
-                    srcs = tuple(srcs) + (slot.dst,)
-                out.append(
-                    Instruction(
-                        pc=pc,
-                        op=slot.op,
-                        dst=slot.dst,
-                        src1=srcs[0] if len(srcs) > 0 else -1,
-                        src2=srcs[1] if len(srcs) > 1 else -1,
-                        addr=addr,
-                    )
-                )
-            elif isinstance(slot, StoreSpec):
-                addr = _next_address(slot, states[slot_index], rng)
-                srcs = slot.srcs
-                out.append(
-                    Instruction(
-                        pc=pc,
-                        op=slot.op,
-                        dst=-1,
-                        src1=srcs[0] if len(srcs) > 0 else -1,
-                        src2=srcs[1] if len(srcs) > 1 else -1,
-                        addr=addr,
-                    )
-                )
-            elif isinstance(slot, BranchSpec):
-                taken = _branch_taken(
-                    slot, exec_counts[slot_index], last, rng
-                )
-                srcs = slot.srcs
-                out.append(
-                    Instruction(
-                        pc=pc,
-                        op=MacroOp.BRANCH,
-                        dst=-1,
-                        src1=srcs[0] if len(srcs) > 0 else -1,
-                        src2=srcs[1] if len(srcs) > 1 else -1,
-                        taken=taken,
-                    )
-                )
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"unknown slot type: {type(slot)!r}")
-            exec_counts[slot_index] += 1
+    limit: Optional[int],
+) -> Columns:
+    """The dynamic instructions of one kernel run, as seven columns.
+
+    The run is laid out as an ``(iterations, len(body))`` grid: static
+    fields are tiled over the rows and each slot's dynamic field
+    (address or branch outcome) fills its column, indexed by the
+    iteration ``k`` within the run -- address cursors and branch counts
+    restart with every run.  With ``limit`` only
+    ``ceil(limit / len(body))`` iterations are expanded and the grid is
+    cut after ``limit`` instructions.
+
+    Random addresses and outcomes are drawn from ``rng`` in execution
+    order (iteration by iteration, body order within one) for the kept
+    slots only.  Every slot of the body is checked, in body order, even
+    the ones past the cut.
+    """
+    body = kernel.body
+    width = len(body)
+    count = max(kernel.iterations, 0) * width
+    if limit is not None:
+        count = min(count, limit)
+    if count == 0:
+        return tuple(np.empty(0, dtype) for dtype in _DTYPES)
+    rows = -(-count // width)
+    full, tail = divmod(count, width)
+    k = np.arange(rows, dtype=np.int64)
+    static = np.empty((5, width), dtype=np.int64)
+    addr = np.zeros((rows, width), dtype=np.int64)
+    taken = np.zeros((rows, width), dtype=np.bool_)
+    randoms = []  # (slot index, slot, draw) in body order
+    for s, slot in enumerate(body):
+        if isinstance(slot, AluSpec):
+            op, dst, srcs = slot.op, slot.dst, slot.srcs
+        elif isinstance(slot, (LoadSpec, StoreSpec)):
+            op, srcs = slot.op, slot.srcs
+            dst = slot.dst if isinstance(slot, LoadSpec) else -1
+            pattern = slot.pattern
+            if pattern == "chase" and isinstance(slot, LoadSpec):
+                # Pointer chase: next address comes from loaded value.
+                srcs = tuple(srcs) + (slot.dst,)
+            if pattern in ("stride", "multi_stride"):
+                if not slot.strides:
+                    raise ZeroDivisionError(
+                        f"{pattern} pattern needs at least one stride")
+                steps = np.resize(np.asarray(slot.strides, np.int64), rows)
+                cursor = np.cumsum(steps) - steps
+                addr[:, s] = slot.base + cursor % max(slot.region, 1)
+            elif pattern in ("random", "chase"):
+                randoms.append((s, slot, partial(
+                    rng.randrange, 0, max(slot.region // 8, 1))))
+            elif pattern == "unique":
+                addr[:, s] = slot.base + _CACHE_LINE * k
+            else:
+                raise ValueError(f"unknown address pattern: {pattern!r}")
+        elif isinstance(slot, BranchSpec):
+            op, dst, srcs = MacroOp.BRANCH, -1, slot.srcs
+            pattern = slot.pattern
+            if pattern == "loop":
+                taken[:, s] = k != kernel.iterations - 1
+            elif pattern == "periodic":
+                if slot.period == 0:
+                    raise ZeroDivisionError(
+                        "periodic branch needs a nonzero period")
+                taken[:, s] = k % slot.period == 0
+            elif pattern in ("random", "biased"):
+                randoms.append((s, slot, rng.random))
+            else:
+                raise ValueError(f"unknown branch pattern: {pattern!r}")
+        else:
+            raise TypeError(f"unknown slot type: {type(slot)!r}")
+        static[:, s] = (kernel.pc_base + 4 * s, int(op), dst,
+                        *_sources(srcs))
+
+    if randoms:
+        # One flat list in execution order: ``full`` whole iterations,
+        # then the random slots ahead of the cut in the partial one.
+        # Slot j's draws are then ``flat[j::len(randoms)]``.
+        draws = [draw for _, _, draw in randoms]
+        kept = sum(1 for s, _, _ in randoms if s < tail)
+        flat = [draw() for _ in range(full) for draw in draws]
+        flat += [draw() for draw in draws[:kept]]
+        for j, (s, slot, _) in enumerate(randoms):
+            values = flat[j::len(randoms)]
+            n = len(values)
+            if isinstance(slot, BranchSpec):
+                taken[:n, s] = np.array(values) < slot.taken_prob
+            else:
+                addr[:n, s] = slot.base + 8 * np.array(values, np.int64)
+
+    return tuple(
+        np.tile(row.astype(dtype), rows)[:count]
+        for row, dtype in zip(static, _DTYPES)
+    ) + (addr.ravel()[:count], taken.ravel()[:count])
 
 
 def generate_trace(spec: WorkloadSpec, max_instructions: Optional[int] = None) -> Trace:
     """Generate the dynamic instruction trace of a workload spec.
 
-    When ``max_instructions`` is given it is a *target length*: the kernel
-    sequence is repeated as many times as needed and the trace truncated to
-    exactly that many instructions, which keeps specs reusable at different
-    scales (tests vs benchmarks).
+    Without ``max_instructions`` the kernel sequence runs ``spec.rounds``
+    times, every kernel run to its last iteration.  With it, the value
+    is a *target length*: the kernels are cycled (``rounds`` is ignored)
+    and generation stops as soon as exactly that many instructions
+    exist, which keeps specs reusable at different scales (tests vs
+    benchmarks).
+
+    The trace is built as columns, one kernel run at a time; its
+    ``Instruction`` object view is materialized only if a caller asks
+    for it (:attr:`Trace.instructions`).
+
+    Raises
+    ------
+    ValueError
+        On an unknown address or branch pattern, or when a spec given a
+        target length generates no instructions.
+    TypeError
+        On a body slot that is none of the slot specs.
+    ZeroDivisionError
+        On a ``periodic`` branch with ``period=0`` or a ``stride`` /
+        ``multi_stride`` slot without strides.
     """
     rng = random.Random(spec.seed)
-    out: List[Instruction] = []
+    runs: List[Columns] = []
     if max_instructions is None:
         for _ in range(spec.rounds):
             for kernel in spec.kernels:
-                generate_kernel(kernel, rng, out)
-        return Trace(out, name=spec.name, seed=spec.seed)
-
-    while len(out) < max_instructions:
-        before = len(out)
-        for kernel in spec.kernels:
-            generate_kernel(kernel, rng, out)
-            if len(out) >= max_instructions:
-                break
-        if len(out) == before:  # pragma: no cover - empty spec guard
-            raise ValueError("workload spec generated no instructions")
-    return Trace(out[:max_instructions], name=spec.name, seed=spec.seed)
+                runs.append(_expand_kernel(kernel, rng, None))
+    else:
+        remaining = max_instructions
+        while remaining > 0:
+            before = remaining
+            for kernel in spec.kernels:
+                run = _expand_kernel(kernel, rng, remaining)
+                runs.append(run)
+                remaining -= len(run[0])
+                if remaining == 0:
+                    break
+            if remaining == before:
+                raise ValueError("workload spec generated no instructions")
+    columns = TraceColumns(*(
+        np.concatenate([np.empty(0, dtype)] + [run[i] for run in runs])
+        for i, dtype in enumerate(_DTYPES)
+    ))
+    return Trace(name=spec.name, seed=spec.seed, columns=columns)

@@ -7,11 +7,13 @@ trace can feed the profiler, the reference simulator and validation tools.
 
 A trace keeps two interchangeable representations of the same stream:
 
-* the **object view** -- a list of :class:`~repro.isa.Instruction` --
-  for the generator and any per-instruction consumer;
 * the **columnar view** -- :class:`~repro.workloads.columns.TraceColumns`
-  structure-of-arrays -- for the vectorized profiling passes and the
-  cycle-level simulator.
+  structure-of-arrays -- which the generator builds and the vectorized
+  profiling passes and the cycle-level simulator read;
+* the **object view** -- a list of :class:`~repro.isa.Instruction` --
+  a compatibility view for per-instruction consumers (the scalar
+  reference oracles, hand-built test traces via
+  ``Trace(instructions=...)``).
 
 Either view is built lazily from the other and cached, and pickling
 always ships the columnar form (seven flat arrays) rather than the
@@ -103,7 +105,8 @@ class Trace:
 
     @property
     def instructions(self) -> Sequence[Instruction]:
-        """The object view (materialized from columns when needed)."""
+        """The ``Instruction`` object view -- a compatibility view,
+        materialized from the columns on first access and cached."""
         if self._instructions is None:
             self._instructions = self._columns.instructions()
         return self._instructions

@@ -1,17 +1,18 @@
 """Shared differential-equivalence harness: fast paths vs their oracles.
 
 The package keeps one implementation of each hot path -- the columnar
-profiler passes, the batched model kernel, the sort-based Pareto
-sweep -- and ``tests/reference/`` keeps the frozen scalar oracle each
-one must reproduce.  The contract is *bitwise* equivalence: same
-floats, same dict/Counter insertion order (``most_common``
-tie-breaking and float-summation order depend on it), same serialized
-bytes, same memo-cache state.  This module centralizes the comparers
-and the hypothesis strategies that drive them, so profiler tests
+trace generator, the columnar profiler passes, the batched model
+kernel, the sort-based Pareto sweep -- and ``tests/reference/`` keeps
+the frozen scalar oracle each one must reproduce.  The contract is
+*bitwise* equivalence: same floats, same dict/Counter insertion order
+(``most_common`` tie-breaking and float-summation order depend on it),
+same serialized bytes, same memo-cache state.  This module centralizes
+the comparers and the hypothesis strategies that drive them, so
+generator tests (``test_workloads.py``), profiler tests
 (``test_columnar.py``), model tests (``test_model_batch.py``) and
 engine tests (``test_engine.py``) all pin the same contract.
 
-Comparers come in two families:
+Comparers come in four families:
 
 * profile-side -- :func:`assert_profiles_bitwise`,
   :func:`assert_memory_profiles_bitwise` compare oracle vs columnar
@@ -22,7 +23,10 @@ Comparers come in two families:
   :class:`~repro.core.interval.ModelCache` contents;
   :func:`predict_both` runs one config batch through both;
 * simulator-side -- :func:`assert_simulations_bitwise` compares two
-  :class:`~repro.simulator.simulator.SimulationResult` field by field.
+  :class:`~repro.simulator.simulator.SimulationResult` field by field;
+* generator-side -- :func:`assert_traces_identical` compares the seven
+  trace columns and their dtypes, and :func:`workload_specs` draws the
+  kernel specs both generators expand.
 
 Cache-state comparison is only meaningful when both sides saw the
 *same profile objects*: cache keys embed ``cache.token(profile)``,
@@ -49,6 +53,7 @@ from repro.workloads.generator import (
     BranchSpec,
     KernelSpec,
     LoadSpec,
+    StoreSpec,
     WorkloadSpec,
 )
 
@@ -167,6 +172,20 @@ def assert_simulations_bitwise(a, b):
     assert repr(a) == repr(b)
 
 
+#: ``TraceColumns`` fields, in constructor order.
+TRACE_COLUMNS = ("pc", "op", "dst", "src1", "src2", "addr", "taken")
+
+
+def assert_traces_identical(oracle, trace):
+    """Two traces hold the same seven columns: values and dtypes."""
+    assert len(trace) == len(oracle)
+    expected, actual = oracle.columns(), trace.columns()
+    for name in TRACE_COLUMNS:
+        want, got = getattr(expected, name), getattr(actual, name)
+        assert got.dtype == want.dtype, name
+        assert got.tolist() == want.tolist(), name
+
+
 def _values_equal(x, y):
     eq = x == y
     if isinstance(eq, bool):
@@ -221,33 +240,68 @@ seeds = st.integers(0, 50)
 # Strategies: random-but-realistic workloads and profiles (model-side).
 # ---------------------------------------------------------------------------
 
+_registers = st.integers(1, 12)
+_sources = st.lists(_registers, max_size=2).map(tuple)
+_address_patterns = st.sampled_from(
+    ["stride", "multi_stride", "random", "chase", "unique"])
+# Negative strides wrap through Python's (and NumPy's) floor modulo.
+_strides = st.lists(st.sampled_from([8, 24, 64, 128, -64]),
+                    min_size=1, max_size=3).map(tuple)
+# Regions below 8 bytes (and of 0) collapse random draws to one slot.
+_regions = st.sampled_from([0, 4, 8, 4096, 65536, 1 << 20])
+_bases = st.sampled_from([0, 1 << 20])
+
 _alu = st.builds(
     AluSpec,
     op=st.sampled_from([MacroOp.INT_ALU, MacroOp.FP_ALU, MacroOp.FP_MUL]),
-    dst=st.integers(1, 12),
-    srcs=st.tuples(st.integers(1, 12)),
+    dst=_registers,
+    srcs=st.tuples(_registers),
 )
 _load = st.builds(
     LoadSpec,
-    dst=st.integers(1, 12),
-    pattern=st.sampled_from(["stride", "random", "unique"]),
-    strides=st.tuples(st.sampled_from([8, 64, 128])),
-    region=st.sampled_from([4096, 65536, 1 << 20]),
-    base=st.sampled_from([0, 1 << 20]),
+    dst=_registers,
+    pattern=_address_patterns,
+    strides=_strides,
+    region=_regions,
+    base=_bases,
+    srcs=_sources,
 )
-_body = st.lists(st.one_of(_alu, _load), min_size=1, max_size=8)
+_store = st.builds(
+    StoreSpec,
+    pattern=_address_patterns,
+    strides=_strides,
+    region=_regions,
+    base=_bases,
+    srcs=_sources,
+)
+_branch = st.builds(
+    BranchSpec,
+    pattern=st.sampled_from(["loop", "periodic", "random", "biased"]),
+    period=st.integers(1, 4),
+    taken_prob=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    srcs=_sources,
+)
+_body = st.lists(st.one_of(_alu, _load, _store, _branch),
+                 min_size=1, max_size=8)
 
 
 @st.composite
 def workload_specs(draw):
-    """A random small kernel: ALU/load body closed by a loop branch."""
-    body = draw(_body)
-    body.append(BranchSpec(pattern="loop"))
-    iterations = draw(st.integers(5, 40))
+    """A random small workload: 1-3 kernels run for 1-3 rounds.
+
+    Each kernel body mixes ALU, load, store and branch slots over every
+    address and branch pattern and is closed by a loop branch.
+    """
+    kernels = []
+    for index in range(draw(st.integers(1, 3))):
+        body = draw(_body)
+        body.append(BranchSpec(pattern="loop"))
+        kernels.append(KernelSpec(
+            f"k{index}", body, iterations=draw(st.integers(1, 40)),
+            pc_base=0x1000 * (index + 1)))
+    rounds = draw(st.integers(1, 3))
     seed = draw(st.integers(0, 1000))
-    return WorkloadSpec(
-        "prop", [KernelSpec("k", body, iterations=iterations)], seed=seed
-    )
+    return WorkloadSpec("prop", kernels, rounds=rounds, seed=seed)
 
 
 @st.composite

@@ -16,7 +16,10 @@ former scalar ``predict``, activity derivation and memory-side
 penalties) that the batched kernel must match, and ``simulator.py`` the
 former per-uop cycle-level simulator that walked ``Instruction``
 objects and accessed its caches and predictor inline, which the
-outcome-pass + timing-core simulator must match.
+outcome-pass + timing-core simulator must match, and ``generator.py``
+the former trace generator that appended one ``Instruction`` per
+dynamic instruction and truncated at the end, whose seven columns the
+columnar generator must match.
 They live with the tests, not in the package, so the package ships
 one implementation per mechanism.  The columnar-profiler and
 batched-model benchmark gates (``benchmarks/bench_profiler.py``,

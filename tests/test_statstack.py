@@ -12,7 +12,6 @@ from repro.caches.cache import Cache, CacheConfig, MissKind
 from repro.statstack.model import StatStack
 from repro.statstack.reuse import (
     ReuseProfile,
-    accesses_from_trace,
     collect_reuse_profile,
 )
 
@@ -56,11 +55,6 @@ class TestReuseProfiling:
     def test_invalid_sample_rate(self):
         with pytest.raises(ValueError):
             collect_reuse_profile(stream([1]), sample_rate=0.0)
-
-    def test_accesses_from_trace(self, gcc_trace):
-        accesses = list(accesses_from_trace(gcc_trace))
-        mem_count = sum(1 for i in gcc_trace if i.is_mem)
-        assert len(accesses) == mem_count
 
 
 class TestStatStackTransform:

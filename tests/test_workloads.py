@@ -1,10 +1,19 @@
 """Workload substrate tests: trace container, generator, the suite."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from equivalence import assert_traces_identical, workload_specs
+from reference.generator import generate_trace_scalar
+from repro.api import ExperimentSpec, Session
+from repro.core import nehalem
 from repro.isa import MacroOp, UopKind
+from repro.profiler import SamplingConfig, profile_application
+from repro.profiler.serialization import profile_fingerprint
+from repro.simulator import simulate
 from repro.workloads import (
     Trace,
+    TraceColumns,
     generate_trace,
     make_suite,
     make_workload,
@@ -18,6 +27,9 @@ from repro.workloads.generator import (
     StoreSpec,
     WorkloadSpec,
 )
+
+#: The applications of the benchmark of record (``perfbench``).
+PERFBENCH_APPS = ("libquantum", "gamess", "astar", "gcc", "mcf")
 
 
 class TestTraceContainer:
@@ -110,6 +122,117 @@ class TestGenerator:
         ], iterations=1)
         with pytest.raises(ValueError):
             generate_trace(WorkloadSpec("w", [kernel]))
+
+
+def _one_kernel(*slots, iterations=3):
+    """A one-kernel spec: ``slots`` after an ALU slot, closed by a loop."""
+    body = [AluSpec(op=MacroOp.INT_ALU, dst=1)] + list(slots)
+    body.append(BranchSpec(pattern="loop"))
+    return WorkloadSpec("bad", [KernelSpec("k", body,
+                                           iterations=iterations)])
+
+
+class TestGeneratorOracle:
+    """The columnar generator against the per-instruction oracle."""
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_suite_columns_match_oracle(self, name):
+        # The oracle truncates one fixed stream, so its trace at a
+        # shorter target is a prefix of its trace at 30k: one oracle
+        # trace per (workload, seed) pins every length.
+        for seed in (7, 42):
+            spec = make_workload(name, seed)
+            width = len(spec.kernels[0].body)
+            oracle = generate_trace_scalar(spec, max_instructions=30_000)
+            for length in (1, width - 1, width, width + 1, 6_000, 10_000,
+                           30_000):
+                trace = generate_trace(spec, max_instructions=length)
+                assert_traces_identical(oracle[:length], trace)
+
+    @pytest.mark.parametrize("name", ["astar", "gcc", "mcf"])
+    def test_whole_runs_match_oracle(self, name):
+        spec = make_workload(name, seed=7)
+        assert_traces_identical(generate_trace_scalar(spec),
+                                generate_trace(spec))
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=workload_specs(),
+           length=st.one_of(st.none(), st.integers(1, 700)))
+    def test_random_specs_match_oracle(self, spec, length):
+        assert_traces_identical(generate_trace_scalar(spec, length),
+                                generate_trace(spec, length))
+
+    @pytest.mark.parametrize("spec, error", [
+        (_one_kernel(LoadSpec(dst=1, pattern="fractal")), ValueError),
+        (_one_kernel(StoreSpec(pattern="fractal")), ValueError),
+        (_one_kernel(BranchSpec(pattern="coin")), ValueError),
+        (_one_kernel("nop"), TypeError),
+        (_one_kernel(BranchSpec(pattern="periodic", period=0)),
+         ZeroDivisionError),
+        (_one_kernel(LoadSpec(dst=1, strides=())), ZeroDivisionError),
+        (_one_kernel(StoreSpec(pattern="multi_stride", strides=())),
+         ZeroDivisionError),
+    ], ids=["load-pattern", "store-pattern", "branch-pattern",
+            "slot-type", "period-0", "no-strides", "no-multi-strides"])
+    @pytest.mark.parametrize("length", [None, 1])
+    def test_bad_slots_raise(self, spec, error, length):
+        # A target of 1 keeps only the leading ALU slot; the slot past
+        # the cut still raises.
+        with pytest.raises(error):
+            generate_trace_scalar(spec, length)
+        with pytest.raises(error):
+            generate_trace(spec, length)
+
+    @pytest.mark.parametrize("spec", [
+        WorkloadSpec("none", []),
+        WorkloadSpec("hollow", [KernelSpec("k", [], iterations=5)]),
+        WorkloadSpec("idle", [KernelSpec("k", [BranchSpec()],
+                                         iterations=0)]),
+    ], ids=["no-kernels", "empty-body", "zero-iterations"])
+    def test_empty_specs(self, spec):
+        with pytest.raises(ValueError):
+            generate_trace_scalar(spec, 10)
+        with pytest.raises(ValueError):
+            generate_trace(spec, 10)
+        assert_traces_identical(generate_trace_scalar(spec),
+                                generate_trace(spec))
+        assert len(generate_trace(spec)) == 0
+
+    def test_perfbench_profile_fingerprints_match(self):
+        sampling = SamplingConfig(1000, 5000)
+        for app in PERFBENCH_APPS:
+            spec = make_workload(app, seed=7)
+            oracle = generate_trace_scalar(spec, max_instructions=30_000)
+            trace = generate_trace(spec, max_instructions=30_000)
+            assert (profile_fingerprint(profile_application(oracle,
+                                                            sampling))
+                    == profile_fingerprint(profile_application(trace,
+                                                               sampling)))
+
+
+class TestNoObjectView:
+    def test_pipelines_never_build_the_object_view(self, monkeypatch):
+        """Generated traces stay columnar through every served kind."""
+        def refuse(columns):
+            raise AssertionError("built the Instruction object view")
+
+        monkeypatch.setattr(TraceColumns, "instructions", refuse)
+        common = dict(workloads=["gcc", "mcf"], instructions=3000)
+        specs = [
+            ExperimentSpec("profile", **common),
+            ExperimentSpec("sweep", limit=6, **common),
+            ExperimentSpec("search", optimizer="random", budget=6, seed=1,
+                           **common),
+            ExperimentSpec("validate", limit=4, train_fraction=0.0,
+                           **common),
+        ]
+        with Session(workers=1) as session:
+            for spec in specs:
+                session.run(spec)
+        trace = generate_trace(make_workload("gcc"), max_instructions=3000)
+        simulate(trace, nehalem())
+        with pytest.raises(AssertionError, match="object view"):
+            list(trace)
 
 
 class TestSuite:
