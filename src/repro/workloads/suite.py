@@ -254,7 +254,7 @@ SUITE: Dict[str, object] = {
     "h264ref": lambda s: _branchy_int("h264ref", 512 * KB, 0.25, True, s),
     "hmmer": lambda s: _branchy_int("hmmer", 128 * KB, 0.1, False, s),
     "perlbench": lambda s: _branchy_int("perlbench", 2 * MB, 0.4, True, s),
-    "sjeng": lambda s: _branchy_int("sjeng", 256 * KB, 0.5, False, s),
+    "sjeng": lambda s: _branchy_int("sjeng", 512 * KB, 0.4, False, s),
 }
 
 

@@ -3,7 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equivalence import assert_traces_identical, workload_specs
+from equivalence import (
+    TRACE_COLUMNS,
+    assert_traces_identical,
+    workload_specs,
+)
 from reference.generator import generate_trace_scalar
 from repro.api import ExperimentSpec, Session
 from repro.core import nehalem
@@ -268,6 +272,17 @@ class TestSuite:
         assert any(i.is_load and i.src1 == i.dst for i in chase)
         assert stream.stats().uop_mix.get(UopKind.LOAD, 0) > 0
         assert compute.stats().uop_mix.get(UopKind.FP_ALU, 0) > 0
+
+    def test_traces_pairwise_distinct(self):
+        # A campaign over the suite must not count one workload twice.
+        seen = {}
+        for name in workload_names():
+            columns = generate_trace(make_workload(name),
+                                     max_instructions=20_000).columns()
+            key = tuple(getattr(columns, field).tobytes()
+                        for field in TRACE_COLUMNS)
+            assert key not in seen, (name, seen.get(key))
+            seen[key] = name
 
     def test_phased_workload_has_two_kernels(self):
         spec = make_workload("astar")
