@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -140,19 +140,14 @@ class WorkloadSpec:
 _DTYPES = (np.int64, np.int16, np.int32, np.int32, np.int32, np.int64,
            np.bool_)
 
-Columns = Tuple[np.ndarray, ...]
-
-
-def _sources(srcs: Sequence[int]) -> Tuple[int, int]:
-    return (srcs[0] if len(srcs) > 0 else -1,
-            srcs[1] if len(srcs) > 1 else -1)
+_Columns = Tuple[np.ndarray, ...]
 
 
 def _expand_kernel(
     kernel: KernelSpec,
     rng: random.Random,
     limit: Optional[int],
-) -> Columns:
+) -> _Columns:
     """The dynamic instructions of one kernel run, as seven columns.
 
     The run is laid out as an ``(iterations, len(body))`` grid: static
@@ -223,7 +218,8 @@ def _expand_kernel(
         else:
             raise TypeError(f"unknown slot type: {type(slot)!r}")
         static[:, s] = (kernel.pc_base + 4 * s, int(op), dst,
-                        *_sources(srcs))
+                        srcs[0] if len(srcs) > 0 else -1,
+                        srcs[1] if len(srcs) > 1 else -1)
 
     if randoms:
         # One flat list in execution order: ``full`` whole iterations,
@@ -273,7 +269,7 @@ def generate_trace(spec: WorkloadSpec, max_instructions: Optional[int] = None) -
         ``multi_stride`` slot without strides.
     """
     rng = random.Random(spec.seed)
-    runs: List[Columns] = []
+    runs: List[_Columns] = []
     if max_instructions is None:
         for _ in range(spec.rounds):
             for kernel in spec.kernels:
