@@ -2,16 +2,17 @@
 """Benchmark: SweepEngine vs the pre-engine serial sweep loop.
 
 Acceptance check for the sweep engine: on a >= (4 workloads x 32
-configs) grid with a warm profile cache, the engine must be at least 2x
-faster wall-clock than the historical serial ``evaluate_design_space``
-loop while producing bitwise-identical design points.
+configs) grid, the engine must be at least 2x faster wall-clock than
+the historical serial ``evaluate_design_space`` loop while producing
+bitwise-identical design points.
 
 The baseline below is a verbatim transcription of the pre-engine
 implementation: a nested per-config loop with no caches, through the
 scalar model oracle (``tests/reference/model.py``), since
 ``model.predict`` now runs the batched kernel the engine uses.  Both
-paths start from freshly deserialized profiles so neither benefits from
-in-memory state built by the other.
+paths start from profiles freshly read back from a
+:class:`~repro.profiler.serialization.ProfileStore`, so neither benefits
+from in-memory state (StatStack models included) built by the other.
 
 The machine-readable perf-trajectory record lands in
 ``BENCH_parallel_sweep.json`` at the repository root (all ``bench_*``
@@ -72,8 +73,8 @@ def main() -> int:
     })[:args.configs]
     print(f"grid: {len(WORKLOADS)} workloads x {len(configs)} configs")
 
-    with tempfile.TemporaryDirectory() as cache_dir:
-        store = ProfileStore(cache_dir)
+    with tempfile.TemporaryDirectory() as store_dir:
+        store = ProfileStore(store_dir)
 
         # One-time profiling cost (the paper's point: paid once, amortized
         # over every sweep) -- not part of either timed region.
@@ -82,7 +83,7 @@ def main() -> int:
             trace = generate_trace(make_workload(name),
                                    max_instructions=INSTRUCTIONS)
             profile = profile_application(trace, SAMPLING)
-            keys.append(store.warm(profile))  # warms the on-disk cache
+            keys.append(store.put(profile))
 
         # Baseline: fresh profiles, historical serial loop, no caches.
         baseline_profiles = [store.get(key) for key in keys]
@@ -90,10 +91,9 @@ def main() -> int:
         baseline = legacy_serial_sweep(baseline_profiles, configs)
         t_baseline = time.perf_counter() - t0
 
-        # Engine: fresh profiles, warm on-disk profile cache, model cache,
-        # worker pool.
+        # Engine: fresh profiles, model cache, worker pool.
         engine_profiles = [store.get(key) for key in keys]
-        engine = SweepEngine(workers=args.workers, store=store)
+        engine = SweepEngine(workers=args.workers)
         t0 = time.perf_counter()
         results = engine.sweep(engine_profiles, configs)
         t_engine = time.perf_counter() - t0
@@ -111,7 +111,7 @@ def main() -> int:
     workers = engine.effective_workers()
     print(f"legacy serial loop : {t_baseline * 1e3:8.1f} ms")
     print(f"sweep engine       : {t_engine * 1e3:8.1f} ms  "
-          f"(workers={workers}, warm profile cache)")
+          f"(workers={workers})")
     print(f"speedup            : {speedup:8.2f}x")
     print(f"bitwise identical  : {'yes' if mismatches == 0 else 'NO'}")
 

@@ -4,24 +4,20 @@
 Demonstrates the evaluation layer added on top of the paper's model:
 
 1. profile several workloads once (the only expensive step);
-2. warm an on-disk, content-addressed profile store so repeated sweeps
-   skip the StatStack stack-distance conversion;
-3. sweep the (profiles x configs) grid on a worker pool -- results
-   are bitwise identical to the in-process run;
-4. consume the sweep as a STREAM, folding Pareto frontiers while later
-   design points are still being evaluated.
+2. sweep the (profiles x configs) grid in-process, then again on a
+   pool of 4 workers -- the results are bitwise identical;
+3. consume the parallel sweep as a STREAM, folding Pareto frontiers
+   while later design points are still being evaluated.
 
 Run:  PYTHONPATH=src python examples/parallel_sweep.py
 """
 
-import tempfile
 import time
 
 from repro import SamplingConfig, generate_trace, make_workload, \
     profile_application
 from repro.core.machine import design_space
 from repro.explore import StreamingParetoFront, SweepEngine
-from repro.profiler.serialization import ProfileStore
 
 WORKLOADS = ["gcc", "gamess", "mcf", "libquantum"]
 
@@ -39,33 +35,35 @@ def main() -> None:
     configs = design_space()  # the 243-core space of Table 6.3
     grid = len(profiles) * len(configs)
 
-    with tempfile.TemporaryDirectory() as cache_dir:
-        store = ProfileStore(cache_dir)
+    # 2. Serial sweep, in-process.
+    started = time.perf_counter()
+    serial = SweepEngine(workers=1).sweep(profiles, configs)
+    serial_seconds = time.perf_counter() - started
 
-        # 2. First sweep: cold store (tables are computed and persisted).
-        engine = SweepEngine(workers=1, store=store)
-        started = time.time()
-        engine.sweep(profiles, configs)
-        cold = time.time() - started
+    # 3. The same grid on 4 workers, streamed: frontiers update point by
+    #    point, so the interesting designs are known long before the
+    #    sweep finishes.
+    frontiers = {name: StreamingParetoFront() for name in WORKLOADS}
+    parallel = {name: [] for name in WORKLOADS}
+    started = time.perf_counter()
+    for point in SweepEngine(workers=4).iter_sweep(profiles, configs):
+        frontiers[point.workload].add_point(point)
+        parallel[point.workload].append(point)
+    parallel_seconds = time.perf_counter() - started
 
-        # 3. Second sweep: warm store + parallel workers.  Bitwise
-        #    identical to the first; just faster.
-        engine = SweepEngine(workers=4, store=store)
-
-        # 4. Stream: frontiers update point by point, so the interesting
-        #    designs are known long before the sweep finishes.
-        frontiers = {name: StreamingParetoFront() for name in WORKLOADS}
-        started = time.time()
-        for point in engine.iter_sweep(profiles, configs):
-            frontiers[point.workload].add_point(point)
-        warm = time.time() - started
-
+    identical = all(
+        (a.cpi, a.power_watts) == (b.cpi, b.power_watts)
+        for name in WORKLOADS
+        for a, b in zip(serial[name], parallel[name])
+    )
     print(f"grid: {len(WORKLOADS)} workloads x {len(configs)} configs "
           f"= {grid} evaluations")
-    print(f"cold sweep (serial):          {cold:6.2f} s "
-          f"({grid / cold:7.0f} evals/s)")
-    print(f"warm sweep (4 workers):       {warm:6.2f} s "
-          f"({grid / warm:7.0f} evals/s)\n")
+    print(f"serial sweep (1 worker):      {serial_seconds:6.2f} s "
+          f"({grid / serial_seconds:7.0f} evals/s)")
+    print(f"parallel sweep (4 workers):   {parallel_seconds:6.2f} s "
+          f"({grid / parallel_seconds:7.0f} evals/s)")
+    print(f"bitwise identical:            {'yes' if identical else 'NO'}"
+          "\n")
 
     for name in WORKLOADS:
         frontier = frontiers[name].frontier()

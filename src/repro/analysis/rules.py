@@ -207,8 +207,6 @@ TAINT_SINKS: Tuple[str, ...] = (
     "*.profile_to_dict",
     "*.save_profile",
     "*ProfileStore.put",
-    "*ProfileStore.warm",
-    "*ProfileStore.save_tables",
     "*ExperimentSpec.to_dict",
     "*ExperimentSpec.fingerprint",
     "*RunResult.to_dict",

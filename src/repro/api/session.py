@@ -11,10 +11,10 @@ pipeline shares:
   (instead of a transient pool per sweep);
 * one :class:`~repro.core.interval.ModelCache` per analytical-model
   variant, kept warm across experiments;
-* an optional warmed
-  :class:`~repro.profiler.serialization.ProfileStore` (on-disk
-  StatStack tables) and :class:`~repro.api.runstore.RunStore`
-  (on-disk run results, keyed by spec fingerprint);
+* an optional :class:`~repro.profiler.serialization.ProfileStore`
+  (on-disk profile archive that ``profile`` experiments write into)
+  and :class:`~repro.api.runstore.RunStore` (on-disk run results,
+  keyed by spec fingerprint);
 * a lazily-profiled workload registry: experiments that name suite
   workloads instead of profile files trigger trace generation and
   profiling at most once per distinct profiling-parameter set.
@@ -29,7 +29,7 @@ thin adapter over this class.
 Examples
 --------
 >>> from repro.api import ExperimentSpec, Session     # doctest: +SKIP
->>> with Session(workers=4, profile_store=".cache") as session:
+>>> with Session(workers=4, run_store=".runs") as session:
 ...     sweep = session.run(ExperimentSpec(
 ...         "sweep", workloads=["gcc"], limit=32))    # doctest: +SKIP
 ...     report = session.run(ExperimentSpec(
@@ -134,10 +134,9 @@ class Session:
         ``os.cpu_count()``.  Results are bitwise identical at any
         worker count.
     profile_store:
-        Optional :class:`ProfileStore` (or its directory path): every
-        profile the session touches is content-hashed into it and its
-        StatStack tables are memoized on disk, so repeated sessions
-        start warm.
+        Optional :class:`ProfileStore` (or its directory path): the
+        archive that ``profile`` experiments without a ``store`` of
+        their own write their profiles into, content-hashed.
     run_store:
         Optional :class:`RunStore` (or its directory path): results of
         deterministic experiment kinds are cached by spec fingerprint
@@ -222,7 +221,6 @@ class Session:
         self.engine = SweepEngine(
             model=base,
             workers=workers,
-            store=profile_store,
             pool=self.pool,
         )
         # Lazily-profiled workload registry: traces by
@@ -270,7 +268,7 @@ class Session:
         The trace is generated and profiled at most once per distinct
         parameter set for the session's lifetime; later experiments
         naming the same workload with the same parameters reuse the
-        in-memory profile (and its warmed StatStack models).
+        in-memory profile (and its StatStack models, once built).
 
         Returns
         -------
@@ -587,7 +585,7 @@ class Session:
                     reuse_sample_rate=params["reuse_sample_rate"],
                     reuse_seed=params["reuse_seed"],
                 )
-                key = store.warm(profile) if store is not None else None
+                key = store.put(profile) if store is not None else None
                 if params["output"]:
                     save_profile(profile, params["output"])
             entries.append({

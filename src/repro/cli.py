@@ -14,14 +14,14 @@ Examples::
 
     python -m repro.cli workloads
     python -m repro.cli profile gcc --instructions 50000 -o gcc.profile
-    python -m repro.cli profile gcc mcf lbm --store .profile-cache \\
+    python -m repro.cli profile gcc mcf lbm --store .profile-store \\
         --json profiles.json
     python -m repro.cli predict gcc.profile
     python -m repro.cli predict gcc.profile --width 2 --rob 64 --llc-mb 2
     python -m repro.cli simulate gcc --instructions 50000
     python -m repro.cli sweep gcc.profile
     python -m repro.cli sweep gcc.profile mcf.profile \\
-        --workers 4 --cache .profile-cache --objective edp
+        --workers 4 --objective edp
     python -m repro.cli search gcc.profile --optimizer ga \\
         --budget 200 --objective edp --seed 0
     python -m repro.cli search gcc.profile --space space.json \\
@@ -224,8 +224,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             objective=args.objective,
             limit=args.limit,
         )
-        with Session(workers=args.workers,
-                     profile_store=args.cache) as session:
+        with Session(workers=args.workers) as session:
             data = session.run(spec).data
     except SpecError as exc:
         return _error(str(exc))
@@ -265,8 +264,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             population=args.population,
             batch_size=args.batch_size,
         )
-        with Session(workers=args.workers,
-                     profile_store=args.cache) as session:
+        with Session(workers=args.workers) as session:
             data = session.run(spec).data
     except SpecError as exc:
         return _error(str(exc))
@@ -399,9 +397,6 @@ def _recovery_lines(session) -> List[str]:
     if session.run_store is not None:
         pairs.append(("run-store entries quarantined",
                       session.run_store.quarantined))
-    if session.profile_store is not None:
-        pairs.append(("table entries quarantined",
-                      session.profile_store.tables_quarantined))
     pairs.append(("failed specs", len(session.failures)))
     lines = [f"  {label:<32} {value}"
              for label, value in pairs if value]
@@ -684,10 +679,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="output profile path (JSON; exactly one "
                           "workload)")
     sub.add_argument("--store", default=None, metavar="DIR",
-                     help="pre-profile into this content-addressed "
-                          "ProfileStore (with warmed StatStack tables) "
-                          "so sweep/search/validate --cache runs start "
-                          "warm")
+                     help="archive the profiles in this "
+                          "content-addressed ProfileStore "
+                          "(<fingerprint>.profile.json)")
     sub.add_argument("--instructions", type=int, default=50_000)
     sub.add_argument("--micro-trace", type=int, default=1000)
     sub.add_argument("--window", type=int, default=5000)
@@ -736,9 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "(0 evaluates none)")
     sub.add_argument("--workers", type=int, default=1,
                      help="worker processes (1 = serial)")
-    sub.add_argument("--cache", default=None, metavar="DIR",
-                     help="profile-store directory for cached "
-                          "StatStack tables")
     sub.set_defaults(func=cmd_sweep)
 
     sub = subparsers.add_parser(
@@ -770,9 +761,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="proposals per engine batch (random/hill/sa)")
     sub.add_argument("--workers", type=int, default=1,
                      help="engine worker processes (1 = serial)")
-    sub.add_argument("--cache", default=None, metavar="DIR",
-                     help="profile-store directory for cached "
-                          "StatStack tables")
     sub.add_argument("--trajectory", default=None, metavar="OUT.json",
                      help="write the full search trajectory as JSON")
     sub.set_defaults(func=cmd_search)
@@ -835,8 +823,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="worker processes shared by every stage "
                           "(1 = serial)")
     sub.add_argument("--store", default=None, metavar="DIR",
-                     help="ProfileStore directory shared by every "
-                          "stage (warmed StatStack tables)")
+                     help="ProfileStore directory that profile specs "
+                          "without a store of their own archive "
+                          "their profiles into")
     sub.add_argument("--runs", default=None, metavar="DIR",
                      help="RunStore directory: cache results by spec "
                           "fingerprint and skip already-computed specs "
@@ -880,8 +869,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--workers", type=int, default=1,
                      help="session worker processes (1 = serial)")
     sub.add_argument("--store", default=None, metavar="DIR",
-                     help="ProfileStore directory (warmed StatStack "
-                          "tables shared by every request)")
+                     help="ProfileStore directory that profile "
+                          "requests without a store of their own "
+                          "archive their profiles into")
     sub.add_argument("--runs", default=None, metavar="DIR",
                      help="RunStore directory: results cached by "
                           "content key")

@@ -68,19 +68,6 @@ class ActivityVector:
     dram_accesses: float = 0.0
     branch_lookups: float = 0.0
 
-    def merge_scaled(self, other: "ActivityVector", scale: float) -> None:
-        self.cycles += other.cycles * scale
-        self.uops += other.uops * scale
-        for kind, count in other.uop_kind_counts.items():
-            self.uop_kind_counts[kind] = (
-                self.uop_kind_counts.get(kind, 0.0) + count * scale
-            )
-        self.l1_accesses += other.l1_accesses * scale
-        self.l2_accesses += other.l2_accesses * scale
-        self.llc_accesses += other.llc_accesses * scale
-        self.dram_accesses += other.dram_accesses * scale
-        self.branch_lookups += other.branch_lookups * scale
-
 
 @dataclass
 class PowerBreakdown:

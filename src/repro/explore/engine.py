@@ -11,10 +11,8 @@ layer on top of :class:`~repro.core.model.AnalyticalModel`:
   (:func:`~repro.api.pool.iter_grid`): in-process when ``workers <= 1``,
   otherwise on a :class:`~repro.api.pool.WorkerPool`, finishing
   in-process if the pool gives up or cannot start.
-* **Profile caching**: per-profile intermediates are memoized at two
-  levels -- the StatStack reuse -> stack distance tables persist on disk
-  in a content-addressed :class:`~repro.profiler.serialization.ProfileStore`,
-  and a per-run :class:`~repro.core.interval.ModelCache` memoizes
+* **Caching**: each profile builds its StatStack models once and keeps
+  them, and a per-run :class:`~repro.core.interval.ModelCache` memoizes
   branch-resolution, virtual-stream, dispatch-limit and miss-ratio
   intermediates across configurations that share the relevant fields.
 * **Streaming**: :meth:`SweepEngine.iter_sweep` yields
@@ -53,7 +51,6 @@ from repro.core.interval import ModelCache
 from repro.core.machine import MachineConfig
 from repro.core.model import AnalyticalModel, ModelResult
 from repro.profiler.profile import ApplicationProfile
-from repro.profiler.serialization import ProfileStore
 
 __all__ = ["SweepEngine"]
 
@@ -98,12 +95,6 @@ class SweepEngine:
         Configurations per worker task.  Defaults to roughly a quarter
         of the per-worker share, so the pool stays busy without
         oversized pickling.
-    store:
-        Optional :class:`~repro.profiler.serialization.ProfileStore`.
-        When given, every profile is content-hashed into the store and
-        its StatStack stack-distance tables are loaded from (or saved
-        to) disk, making repeated sweeps over the same profiles start
-        warm.
     pool:
         Optional externally-owned :class:`~repro.api.pool.WorkerPool`.
         When given, parallel sweeps run on that persistent pool
@@ -128,20 +119,14 @@ class SweepEngine:
         model: Optional[AnalyticalModel] = None,
         workers: Optional[int] = None,
         batch_size: Optional[int] = None,
-        store: Optional[ProfileStore] = None,
         pool=None,
         progress: Optional[Callable[[int, int], None]] = None,
     ) -> None:
         self.model = model if model is not None else AnalyticalModel()
         self.workers = workers
         self.batch_size = batch_size
-        self.store = store
         self.pool = pool
         self.progress = progress
-        # id -> (profile, store key): profiles already prepared by this
-        # engine (the profile reference pins the id against reuse).
-        self._prepared: Dict[int, Tuple[ApplicationProfile,
-                                        Optional[str]]] = {}
 
     # ------------------------------------------------------------------
 
@@ -151,41 +136,17 @@ class SweepEngine:
             return os.cpu_count() or 1
         return max(1, self.workers)
 
-    def prepare(
-        self, profiles: Sequence[ApplicationProfile]
-    ) -> List[Optional[str]]:
-        """Materialize per-profile intermediates before the sweep.
+    def prepare(self, profiles: Sequence[ApplicationProfile]) -> None:
+        """Build each profile's StatStack models before the sweep.
 
-        With a :class:`ProfileStore` attached, each profile is hashed
-        into the store and its StatStack tables come from disk when
-        cached (the "warm profile cache" path); otherwise the models are
-        simply built in memory so workers inherit them pre-built.
-        Profiles already prepared by this engine are skipped, so
-        repeated sweeps do not re-hash or reload anything.
-
-        Returns
-        -------
-        list of str or None
-            The store fingerprint per profile (``None`` without a store).
+        Each profile caches its own models, so a profile already
+        prepared (by this engine or any other caller) costs nothing,
+        and workers inherit the models pre-built.
         """
-        keys: List[Optional[str]] = []
         with obs.span("engine.prepare", profiles=len(profiles)):
             for profile in profiles:
-                prepared = self._prepared.get(id(profile))
-                if prepared is not None and prepared[0] is profile:
-                    keys.append(prepared[1])
-                    continue
-                if self.store is not None:
-                    key = self.store.warm(profile)
-                else:
-                    profile.statstack()
-                    profile.instruction_statstack()
-                    key = None
-                self._prepared[id(profile)] = (profile, key)
-                keys.append(key)
-            if self.store is not None:
-                self.store.flush_metrics(obs.metrics())
-        return keys
+                profile.statstack()
+                profile.instruction_statstack()
 
     # ------------------------------------------------------------------
 

@@ -9,10 +9,9 @@ evaluation environment and interchangeable search agents:
 * :class:`SearchProblem` -- profiles + a :class:`DesignSpace` + an
   :class:`Objective` -- turns batches of abstract points into fitness
   values by driving the batched
-  :class:`~repro.explore.engine.SweepEngine` (so worker processes,
-  the :class:`~repro.core.interval.ModelCache` and the on-disk
-  :class:`~repro.profiler.serialization.ProfileStore` all apply to
-  search for free), memoizing fitnesses so revisited points are free;
+  :class:`~repro.explore.engine.SweepEngine` (so worker processes
+  and the :class:`~repro.core.interval.ModelCache` apply to search
+  for free), memoizing fitnesses so revisited points are free;
 * :class:`EvaluationBudget` bounds the number of *distinct*
   configurations evaluated;
 * :class:`SearchTrajectory` records every evaluation in order plus the
@@ -306,7 +305,7 @@ class SearchProblem:
     objective:
         The scalar to minimize (see :data:`OBJECTIVES`).
     engine:
-        Optional pre-configured engine (workers, store, model);
+        Optional pre-configured engine (workers, pool, model);
         defaults to a serial :class:`SweepEngine`.  If the engine's
         model has no :class:`~repro.core.interval.ModelCache`, one is
         attached for the lifetime of the problem, so the cross-config

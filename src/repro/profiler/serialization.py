@@ -6,23 +6,19 @@ the profile from disk.  This module provides the same workflow with JSON
 (the offline-friendly substitute): ``save_profile`` / ``load_profile``
 round-trip every statistic the model consumes.
 
-It also provides the content-addressed :class:`ProfileStore` the sweep
-engine uses: profiles are keyed by a SHA-256 fingerprint of their
-canonical JSON form, and expensive derived state (the StatStack
-reuse -> stack distance tables) is memoized on disk next to each profile
-so repeated sweeps skip the conversion entirely.
+It also provides the content-addressed :class:`ProfileStore`, an
+on-disk archive of profiles keyed by a SHA-256 fingerprint of their
+canonical JSON form.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
 from collections import Counter
-from typing import Any, Dict, IO, Optional, Union
+from typing import Any, Dict, IO, Union
 
-from repro.faults import inject
 from repro.faults.atomic import atomic_write
 from repro.frontend.entropy import BranchEntropyProfile
 from repro.profiler.dependences import ChainProfile, DependenceChains
@@ -38,8 +34,6 @@ from repro.statstack.reuse import ReuseProfile
 from repro.isa import UopKind
 
 FORMAT_VERSION = 1
-
-logger = logging.getLogger(__name__)
 
 
 def _int_key_dict(mapping: Dict) -> Dict[str, Any]:
@@ -364,61 +358,36 @@ def profile_fingerprint(profile: ApplicationProfile) -> str:
 
 
 class ProfileStore:
-    """On-disk, content-addressed store of profiles and derived state.
+    """On-disk, content-addressed archive of profiles.
 
-    Layout: ``<root>/<fingerprint>.profile.json`` holds the profile
-    itself and ``<root>/<fingerprint>.tables.json`` the memoized
-    StatStack stack-distance tables (data and instruction streams).
+    Layout: ``<root>/<fingerprint>.profile.json`` holds each profile.
     Storing by content hash means ``put`` is idempotent and a profile
-    re-collected bit-identically hits the same cache entry.
+    re-collected bit-identically lands on the same entry.  Writes are
+    atomic (temp file + rename), so a crash mid-write never leaves a
+    half-written profile.  Nothing derived from a profile is stored:
+    its StatStack models take less time to rebuild than to load, and
+    ``.tables.json`` files left by older releases are ignored.
 
     Parameters
     ----------
     root:
         Directory for the store; created on first use.
 
-    Accounting: :attr:`tables_hits` / :attr:`tables_misses` /
-    :attr:`tables_corrupt` / :attr:`tables_quarantined` and
-    :attr:`profiles_stored` count store traffic unconditionally (plain
-    integer adds), and :meth:`flush_metrics` publishes the deltas since
-    the previous flush under ``profile_store.*`` metric names.  Corrupt
-    table files additionally emit a ``logging`` warning (logger
-    ``repro.profiler.serialization``), are renamed to a ``.corrupt``
-    sidecar, and are then treated as misses.  All writes are atomic
-    (temp file + rename), so a crash mid-write never leaves a
-    half-written profile or table entry.
+    Accounting: :attr:`profiles_stored` counts new entries
+    unconditionally (a plain integer add), and :meth:`flush_metrics`
+    publishes the delta since the previous flush as
+    ``profile_store.profiles_stored``.
     """
 
     def __init__(self, root: str) -> None:
         self.root = root
-        #: Lifetime StatStack-table loads served from disk.
-        self.tables_hits = 0
-        #: Lifetime StatStack-table loads that had to recompute.
-        self.tables_misses = 0
-        #: Lifetime table files that existed but failed to parse.
-        self.tables_corrupt = 0
-        #: Lifetime corrupt table files moved to ``.corrupt`` sidecars.
-        self.tables_quarantined = 0
         #: Lifetime profile writes that created a new store entry.
         self.profiles_stored = 0
-        self._flushed = {"tables_hits": 0, "tables_misses": 0,
-                         "tables_corrupt": 0, "tables_quarantined": 0,
-                         "profiles_stored": 0}
-        # Lifetime table-write ordinal: part of the fault-injection key
-        # so a recomputed entry draws a fresh corruption decision.
-        self._table_writes = 0
-
-    # -- paths ----------------------------------------------------------
+        self._flushed = 0
 
     def profile_path(self, key: str) -> str:
         """Path of the stored profile JSON for ``key``."""
         return os.path.join(self.root, f"{key}.profile.json")
-
-    def tables_path(self, key: str) -> str:
-        """Path of the memoized StatStack tables for ``key``."""
-        return os.path.join(self.root, f"{key}.tables.json")
-
-    # -- profiles -------------------------------------------------------
 
     def put(self, profile: ApplicationProfile) -> str:
         """Store a profile (idempotent) and return its fingerprint key."""
@@ -437,97 +406,17 @@ class ProfileStore:
     def __contains__(self, key: str) -> bool:
         return os.path.exists(self.profile_path(key))
 
-    # -- derived state --------------------------------------------------
-
-    def load_tables(self, key: str) -> Optional[Dict[str, Any]]:
-        """The cached StatStack tables for ``key``, or ``None``.
-
-        A table file that exists but cannot be read or parsed counts
-        as :attr:`tables_corrupt`, logs a warning, and is quarantined
-        to a ``.corrupt`` sidecar so it stops shadowing the slot (the
-        caller recomputes and the rewrite lands cleanly); a genuinely
-        absent file is a silent plain miss.
-        """
-        path = self.tables_path(key)
-        if not os.path.exists(path):
-            return None
-        try:
-            with open(path) as handle:
-                return json.load(handle)
-        except (OSError, ValueError) as exc:
-            self.tables_corrupt += 1
-            try:
-                os.replace(path, path + ".corrupt")
-                self.tables_quarantined += 1
-            except OSError:
-                pass
-            logger.warning(
-                "corrupt StatStack table entry %s (%s); quarantined, "
-                "recomputing",
-                path, exc,
-            )
-            return None
-
-    def save_tables(self, key: str, tables: Dict[str, Any]) -> None:
-        """Persist StatStack tables for ``key`` (overwrites, atomic)."""
-        path = self.tables_path(key)
-        self._table_writes += 1
-        with atomic_write(path) as handle:
-            json.dump(tables, handle)
-        inject.store_site(path, f"tables:{key}:{self._table_writes}")
-
-    def warm(self, profile: ApplicationProfile) -> str:
-        """Attach cached StatStack models to ``profile`` (or build+cache).
-
-        On a cache hit the profile's data- and instruction-stream
-        StatStack models are rebuilt from the stored tables, skipping the
-        reuse -> stack distance conversion; on a miss they are computed
-        once and the tables persisted for the next run.  Either way the
-        profile ends up with both models materialized in memory.
-
-        Returns
-        -------
-        str
-            The profile's fingerprint key.
-        """
-        from repro.statstack.model import StatStack
-
-        key = self.put(profile)
-        cached = self.load_tables(key)
-        if cached is not None:
-            self.tables_hits += 1
-            profile._statstack = StatStack.from_tables(
-                profile.reuse, cached.get("data", {})
-            )
-            profile._instruction_statstack = StatStack.from_tables(
-                profile.instruction_reuse, cached.get("instruction", {})
-            )
-        else:
-            self.tables_misses += 1
-            self.save_tables(key, {
-                "data": profile.statstack().export_tables(),
-                "instruction":
-                    profile.instruction_statstack().export_tables(),
-            })
-        return key
-
     def flush_metrics(self, metrics) -> None:
-        """Publish store counters accumulated since the last flush.
+        """Publish new store entries counted since the last flush.
 
-        Increments ``profile_store.tables_hits`` /
-        ``profile_store.tables_misses`` / ``profile_store.tables_corrupt``
-        / ``profile_store.tables_quarantined`` /
-        ``profile_store.profiles_stored`` on ``metrics`` by the deltas
-        since the previous flush (repeated flushing never
+        Increments ``profile_store.profiles_stored`` on ``metrics`` by
+        the delta since the previous flush (repeated flushing never
         double-counts).  Flushing into a disabled registry is a no-op
-        that keeps the deltas pending.
+        that keeps the delta pending.
         """
         if not metrics.enabled:
             return
-        for attr in ("tables_hits", "tables_misses", "tables_corrupt",
-                     "tables_quarantined", "profiles_stored"):
-            value = getattr(self, attr)
-            delta = value - self._flushed[attr]
-            if delta:
-                metrics.inc(f"profile_store.{attr}", delta)
-                self._flushed[attr] = value
+        delta = self.profiles_stored - self._flushed
+        if delta:
+            metrics.inc("profile_store.profiles_stored", delta)
+            self._flushed = self.profiles_stored

@@ -21,17 +21,11 @@ independently (inclusive hierarchy assumption, thesis §4.2).
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.statstack.reuse import ReuseProfile
-
-#: Version of the reuse -> stack distance conversion.  Bump whenever
-#: :meth:`StatStack._expected_stack_distances` changes so cached tables
-#: from older releases are rebuilt instead of silently reused.
-TABLES_VERSION = 1
 
 
 class StatStack:
@@ -41,70 +35,13 @@ class StatStack:
     ----------
     profile:
         The sampled reuse-distance histograms to transform.
-    tables:
-        Optional precomputed stack-distance tables as returned by
-        :meth:`export_tables`.  When the tables match the profile's
-        distinct reuse distances, the expensive expected-stack-distance
-        pass is skipped; on any mismatch the tables are ignored and the
-        model is rebuilt from scratch (so stale caches degrade to a
-        recomputation, never to wrong answers).
     """
 
-    def __init__(self, profile: ReuseProfile,
-                 tables: Optional[Dict[str, List[float]]] = None) -> None:
+    def __init__(self, profile: ReuseProfile) -> None:
         self.profile = profile
-        self._build(tables)
+        self._build()
 
-    def export_tables(self) -> Dict[str, List[float]]:
-        """Serialize the derived stack-distance tables.
-
-        Returns
-        -------
-        dict
-            JSON-compatible mapping with the conversion-algorithm
-            ``version``, the distinct reuse ``distances`` with their
-            ``counts`` and ``cold`` mass, and the ``expected_sd`` value
-            at each distance -- everything :meth:`from_tables` needs to
-            both skip the conversion pass and detect staleness.
-        """
-        return {
-            "version": TABLES_VERSION,
-            "distances": [int(d) for d in self._distances],
-            "counts": [float(c) for c in self._counts],
-            "cold": int(
-                self.profile.cold_loads + self.profile.cold_stores
-            ),
-            "expected_sd": [float(v) for v in self._expected_sd],
-        }
-
-    @classmethod
-    def from_tables(
-        cls, profile: ReuseProfile, tables: Dict[str, List[float]]
-    ) -> "StatStack":
-        """Build a model, reusing cached tables when they still apply."""
-        return cls(profile, tables=tables)
-
-    def _tables_match(self, tables: Dict[str, List[float]]) -> bool:
-        if tables.get("version") != TABLES_VERSION:
-            return False
-        distances = tables.get("distances")
-        counts = tables.get("counts")
-        expected = tables.get("expected_sd")
-        if distances is None or counts is None or expected is None:
-            return False
-        cold = self.profile.cold_loads + self.profile.cold_stores
-        if tables.get("cold") != cold:
-            return False
-        n = self._distances.size
-        if len(distances) != n or len(counts) != n or len(expected) != n:
-            return False
-        return all(
-            int(a) == int(b) for a, b in zip(distances, self._distances)
-        ) and all(
-            float(a) == float(b) for a, b in zip(counts, self._counts)
-        )
-
-    def _build(self, tables: Optional[Dict[str, List[float]]] = None) -> None:
+    def _build(self) -> None:
         histogram = self.profile.histogram
         if histogram:
             distances = np.array(sorted(histogram), dtype=np.int64)
@@ -125,12 +62,7 @@ class StatStack:
         #   E[SD(d)] = sum_{j=0}^{d-1} P(RD > j)
         # P(RD > j) is a step function, constant between distinct distances,
         # so the sum telescopes over segments.
-        if tables is not None and self._tables_match(tables):
-            self._expected_sd = np.array(
-                tables["expected_sd"], dtype=np.float64
-            )
-        else:
-            self._expected_sd = self._expected_stack_distances()
+        self._expected_sd = self._expected_stack_distances()
 
     def _expected_stack_distances(self) -> np.ndarray:
         """E[SD] at each distinct reuse distance (vectorized prefix sums)."""

@@ -98,7 +98,11 @@ class Trace:
                 return sliced
             return Trace(name=name, seed=self.seed,
                          columns=self._columns[index])
-        return self.instructions[index]
+        if self._instructions is not None:
+            return self._instructions[index]
+        # One instruction from the columns; the object view stays unbuilt.
+        position = range(len(self))[index]
+        return self._columns[position:position + 1].instructions()[0]
 
     def __repr__(self) -> str:
         return f"Trace(name={self.name!r}, n={len(self)})"

@@ -6,7 +6,9 @@ deliberately broken (one module per rule) and ``cleanpkg`` honors every
 contract -- the shared negative control.
 """
 
+import ast
 import json
+from fnmatch import fnmatchcase
 from pathlib import Path
 
 import pytest
@@ -20,7 +22,9 @@ from repro.analysis import (
     run_lint,
 )
 from repro.analysis.baseline import parse_toml
+from repro.analysis.callgraph import CallGraph, module_name_for
 from repro.analysis.report import Finding
+from repro.analysis.rules import TAINT_SINKS
 from repro.cli import main
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "lint"
@@ -63,6 +67,19 @@ class TestDeterminismTaint:
         report = lint_bad("determinism-taint",
                           options={"taint_sinks": ["*.no_such_sink"]})
         assert report.findings == []
+
+    def test_every_sink_pattern_names_a_real_function(self):
+        # A renamed or deleted sink would silently drop out of the rule.
+        sources = sorted((FIXTURES.parents[2] / "src" / "repro")
+                         .rglob("*.py"))
+        graph = CallGraph.build([
+            (str(path), module_name_for(path), ast.parse(path.read_text()))
+            for path in sources
+        ])
+        unmatched = [pattern for pattern in TAINT_SINKS
+                     if not any(fnmatchcase(name, pattern)
+                                for name in graph.functions)]
+        assert unmatched == []
 
 
 class TestWorkerState:

@@ -30,7 +30,8 @@ class TestProfilePredictFlow:
         out = capsys.readouterr().out
         assert "1.60GHz" in out
 
-    def test_profile_into_store_warms_cache(self, tmp_path, capsys):
+    def test_profile_into_store_writes_only_profiles(self, tmp_path,
+                                                     capsys):
         import json
         import os
 
@@ -43,14 +44,11 @@ class TestProfilePredictFlow:
         data = json.load(open(report))
         assert [p["workload"] for p in data["profiles"]] == ["gcc",
                                                              "mcf"]
-        for entry in data["profiles"]:
-            key = entry["fingerprint"]
-            assert len(key) == 64
-            # Both the profile and its warmed StatStack tables exist.
-            assert os.path.exists(
-                os.path.join(store, f"{key}.profile.json"))
-            assert os.path.exists(
-                os.path.join(store, f"{key}.tables.json"))
+        keys = [entry["fingerprint"] for entry in data["profiles"]]
+        assert all(len(key) == 64 for key in keys)
+        # The store archives profiles only; nothing derived from them.
+        assert sorted(os.listdir(store)) == sorted(
+            f"{key}.profile.json" for key in keys)
 
     def test_profile_store_matches_file_output(self, tmp_path):
         from repro.profiler.serialization import (
@@ -349,6 +347,16 @@ class TestParser:
     def test_missing_command_fails(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("command", ["sweep", "search"])
+    def test_cache_flag_is_gone(self, tmp_path, command, capsys):
+        # StatStack models are rebuilt in memory, never read from disk.
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(tmp_path / "x.profile"),
+                  "--cache", str(tmp_path / "cache")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cache" in \
+            capsys.readouterr().err
 
     def test_unknown_workload_raises(self, tmp_path):
         with pytest.raises(KeyError):

@@ -70,7 +70,7 @@ def legacy_sweep(paths, limit=None, objective=None):
     configs = DesignSpace.default().configs()
     if limit is not None:
         configs = configs[:limit]
-    engine = SweepEngine(workers=1, store=None)
+    engine = SweepEngine(workers=1)
     frontiers = {p.name: StreamingParetoFront() for p in profiles}
     results = {p.name: [] for p in profiles}
     for point in engine.iter_sweep(profiles, configs):
@@ -109,7 +109,7 @@ def legacy_search(path, optimizer, budget, seed, objective="edp"):
     profiles = [load_profile(path)]
     space = DesignSpace.default()
     objective = get_objective(objective, power_cap_watts=None)
-    engine = SweepEngine(workers=1, store=None)
+    engine = SweepEngine(workers=1)
     problem = SearchProblem(profiles, space, objective, engine=engine)
     trajectory = agent.search(problem, budget)
     size = space.size()

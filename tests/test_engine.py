@@ -1,6 +1,5 @@
 """Sweep engine: parallel/serial identity, caching, streaming, store."""
 
-import json
 import os
 
 import pytest
@@ -18,8 +17,9 @@ from repro.profiler import SamplingConfig, profile_application
 from repro.profiler.serialization import (
     ProfileStore,
     profile_fingerprint,
+    profile_from_dict,
+    profile_to_dict,
 )
-from repro.statstack.model import StatStack
 from repro.workloads import generate_trace, make_workload
 
 SPACE = {"dispatch_width": (2, 4), "llc_mb": (2, 8), "rob_size": (64, 128)}
@@ -108,14 +108,19 @@ class TestSweepEngine:
         assert model.cache is cache
         assert len(cache) > 0
 
-    def test_prepare_memoized_across_sweeps(self, tmp_path, gcc_profile):
-        store = ProfileStore(str(tmp_path))
-        engine = SweepEngine(workers=1, store=store)
-        keys_first = engine.prepare([gcc_profile])
-        statstack = gcc_profile._statstack
-        keys_second = engine.prepare([gcc_profile])
-        assert keys_first == keys_second
-        assert gcc_profile._statstack is statstack  # no rebuild/reload
+    def test_prepare_memoized_across_sweeps(self, gcc_profile):
+        profile = profile_from_dict(profile_to_dict(gcc_profile))
+        assert profile._statstack is None
+        engine = SweepEngine(workers=1)
+        engine.prepare([profile])
+        data, instruction = (profile._statstack,
+                             profile._instruction_statstack)
+        assert data is not None and instruction is not None
+        configs = design_space({"dispatch_width": (2, 4)})
+        engine.sweep([profile], configs)
+        engine.sweep([profile], configs)
+        assert profile._statstack is data  # built once, never rebuilt
+        assert profile._instruction_statstack is instruction
 
 
 class TestModelCache:
@@ -178,50 +183,6 @@ class TestProfileStore:
         loaded = store.get(key)
         assert loaded.name == gcc_profile.name
         assert profile_fingerprint(loaded) == key
-
-    def test_warm_cache_identical_queries(self, tmp_path, gcc_profile):
-        store = ProfileStore(str(tmp_path))
-        reference = StatStack(gcc_profile.reuse)
-        store.warm(gcc_profile)  # cold: computes + persists tables
-
-        reloaded = store.get(store.put(gcc_profile))
-        store.warm(reloaded)  # warm: tables come from disk
-        for size in (32 * 1024, 256 * 1024, 8 * 1024 * 1024):
-            assert reloaded.statstack().miss_ratio(size, kind="load") == \
-                reference.miss_ratio(size, kind="load")
-
-    def test_stale_tables_fall_back_to_rebuild(self, gcc_profile):
-        tables = {"distances": [1, 2, 3], "expected_sd": [0.0, 1.0, 2.0]}
-        model = StatStack.from_tables(gcc_profile.reuse, tables)
-        reference = StatStack(gcc_profile.reuse)
-        assert model.miss_ratio(32 * 1024) == reference.miss_ratio(32 * 1024)
-
-    def test_wrong_version_or_counts_fall_back(self, gcc_profile):
-        reference = StatStack(gcc_profile.reuse)
-        good = reference.export_tables()
-
-        outdated = dict(good, version=good["version"] - 1)
-        corrupted = dict(good, counts=[c + 1 for c in good["counts"]])
-        for tables in (outdated, corrupted):
-            rebuilt = StatStack.from_tables(gcc_profile.reuse, tables)
-            assert rebuilt.miss_ratio(32 * 1024) == \
-                reference.miss_ratio(32 * 1024)
-
-    def test_matching_tables_are_used(self, gcc_profile):
-        reference = StatStack(gcc_profile.reuse)
-        assert reference._tables_match(reference.export_tables())
-
-    def test_engine_with_store(self, tmp_path, gcc_profile):
-        configs = design_space({"dispatch_width": (2, 4)})
-        store = ProfileStore(str(tmp_path))
-        cold = SweepEngine(workers=1, store=store).sweep(
-            [gcc_profile], configs
-        )
-        assert gcc_profile._statstack is not None
-        warm = SweepEngine(workers=1, store=store).sweep(
-            [gcc_profile], configs
-        )
-        _assert_points_identical(cold["gcc"], warm["gcc"])
 
 
 class TestStreamingPareto:

@@ -314,26 +314,23 @@ class TestStoreAccounting:
         store.flush_metrics(registry)
         assert registry.snapshot()["counters"] == {"run_store.misses": 1}
 
-    def test_profile_store_counts_and_warns_on_corrupt_tables(
-            self, tmp_path, gcc_profile, caplog):
+    def test_profile_store_counts_only_new_puts(self, tmp_path,
+                                                gcc_profile,
+                                                gamess_profile):
         from repro.profiler.serialization import ProfileStore
 
         store = ProfileStore(str(tmp_path / "profiles"))
-        key = store.warm(gcc_profile)
-        assert store.tables_misses == 1  # cold warm computed them
-        with open(store.tables_path(key), "w") as handle:
-            handle.write("{broken")
-        with caplog.at_level(logging.WARNING,
-                             logger="repro.profiler.serialization"):
-            assert store.load_tables(key) is None
-        assert store.tables_corrupt == 1
-        assert any("corrupt StatStack table entry" in record.message
-                   for record in caplog.records)
+        key = store.put(gcc_profile)
+        assert store.put(gcc_profile) == key  # already stored
         registry = MetricsRegistry()
         store.flush_metrics(registry)
-        counters = registry.snapshot()["counters"]
-        assert counters["profile_store.tables_corrupt"] == 1
-        assert counters["profile_store.profiles_stored"] == 1
+        assert registry.snapshot()["counters"] == {
+            "profile_store.profiles_stored": 1}
+        store.put(gamess_profile)
+        store.put(gcc_profile)
+        store.flush_metrics(registry)
+        assert registry.snapshot()["counters"] == {
+            "profile_store.profiles_stored": 2}
 
     def test_model_cache_flush(self, gcc_profile, reference_config):
         model = AnalyticalModel(cache=ModelCache())

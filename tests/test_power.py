@@ -137,15 +137,6 @@ class TestBreakdownAndEnergy:
             model.edp(activity) * seconds
         )
 
-    def test_merge_scaled(self):
-        a = sample_activity()
-        b = ActivityVector()
-        b.merge_scaled(a, 2.0)
-        assert b.cycles == pytest.approx(2 * a.cycles)
-        assert b.uop_kind_counts[UopKind.LOAD] == pytest.approx(
-            2 * a.uop_kind_counts[UopKind.LOAD]
-        )
-
 
 class TestDVFSRail:
     def test_vdd_monotone_in_frequency(self):

@@ -56,6 +56,19 @@ class TestTraceContainer:
         windows = list(gcc_trace.windows(5000))
         assert sum(len(w) for w in windows) == len(gcc_trace)
 
+    def test_integer_index_leaves_the_object_view_unbuilt(self):
+        def fresh():
+            return generate_trace(make_workload("gcc"),
+                                  max_instructions=3000)
+
+        trace, twin = fresh(), fresh()
+        for index in (0, 5, -1):
+            assert trace[index] == twin.instructions[index]
+        assert trace._instructions is None
+        for index in (len(trace), -len(trace) - 1):
+            with pytest.raises(IndexError):
+                trace[index]
+
 
 class TestGenerator:
     def test_exact_length(self):
