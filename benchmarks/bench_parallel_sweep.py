@@ -30,6 +30,7 @@ import sys
 import tempfile
 import time
 
+from repro.api.pool import resolve_workers
 from repro.core.model import AnalyticalModel
 from repro.core.machine import design_space
 from repro.explore.engine import SweepEngine
@@ -108,7 +109,7 @@ def main() -> int:
                 mismatches += 1
     speedup = t_baseline / t_engine if t_engine > 0 else float("inf")
 
-    workers = engine.effective_workers()
+    workers = resolve_workers(engine.workers)
     print(f"legacy serial loop : {t_baseline * 1e3:8.1f} ms")
     print(f"sweep engine       : {t_engine * 1e3:8.1f} ms  "
           f"(workers={workers})")

@@ -16,6 +16,7 @@ import pytest
 
 from repro.core import AnalyticalModel, nehalem
 from repro.core.machine import MachineConfig
+from repro.core.power import power_batch
 from repro.profiler import SamplingConfig, profile_application
 from repro.simulator import SimulationResult, simulate
 from repro.workloads import Trace, generate_trace, make_workload
@@ -102,6 +103,20 @@ def get_space_data():
             rows.append((config, sim, model.predict(profile, config)))
         _space_data[name] = rows
     return _space_data
+
+
+def simulated_watts(rows):
+    """Total watts at the measured activity of each ``(config, sim,
+    model_result)`` row of one workload.
+
+    One power-kernel call prices the whole workload: its simulations
+    replay one trace, so their activities name the same uop kinds.
+    """
+    breakdowns, _, _, _ = power_batch(
+        [config for config, _, _ in rows],
+        [sim.activity for _, sim, _ in rows],
+    )
+    return [breakdown.total for breakdown in breakdowns]
 
 
 @pytest.fixture

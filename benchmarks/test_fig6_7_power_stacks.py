@@ -9,18 +9,17 @@ vs measured activity factors.
 from conftest import get_profile, get_simulation, write_table
 
 from repro.core import AnalyticalModel, nehalem
-from repro.core.power import PowerModel
+from repro.core.power import power_batch
 from repro.workloads import workload_names
 
 
 def run_experiment():
     model = AnalyticalModel()
     config = nehalem()
-    backend = PowerModel(config)
     rows = {}
     for name in workload_names():
         sim = get_simulation(name)
-        sim_power = backend.evaluate(sim.activity)
+        (sim_power,), _, _, _ = power_batch([config], [sim.activity])
         predicted = model.predict(get_profile(name), config)
         rows[name] = (sim_power, predicted.power)
     return rows

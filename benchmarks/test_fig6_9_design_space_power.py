@@ -4,23 +4,20 @@ Paper shape: 4.3% average power error over the 243-core space, with high
 predicted-vs-simulated correlation.
 """
 
-from conftest import get_space_data, write_table
+from conftest import get_space_data, simulated_watts, write_table
 
 import numpy as np
-
-from repro.core.power import PowerModel
 
 
 def run_experiment():
     data = get_space_data()
     results = {}
     for name, rows in data.items():
-        points = []
-        for config, sim, model_result in rows:
-            backend = PowerModel(config)
-            sim_watts = backend.evaluate(sim.activity).total
-            points.append((sim_watts, model_result.power_watts))
-        results[name] = points
+        results[name] = [
+            (sim_watts, model_result.power_watts)
+            for sim_watts, (_, _, model_result) in zip(
+                simulated_watts(rows), rows)
+        ]
     return results
 
 

@@ -6,9 +6,8 @@ yielding equal-or-better Pareto filtering (sensitivity/specificity/HVR)
 -- especially when the empirical model must extrapolate.
 """
 
-from conftest import get_space_data, write_table
+from conftest import get_space_data, simulated_watts, write_table
 
-from repro.core.power import PowerModel
 from repro.explore.empirical import EmpiricalModel
 from repro.explore.pareto import pareto_metrics
 from conftest import get_profile, SHORT_TRACE_LENGTH
@@ -16,6 +15,8 @@ from conftest import get_profile, SHORT_TRACE_LENGTH
 
 def run_experiment():
     data = get_space_data()
+    measured = {workload: simulated_watts(points)
+                for workload, points in data.items()}
 
     # Train empirical CPI/power models on HALF the (workload, config)
     # simulation results; evaluate on everything (the paper's setup:
@@ -24,10 +25,9 @@ def run_experiment():
     watt_samples = []
     for workload, points in data.items():
         profile = get_profile(workload, SHORT_TRACE_LENGTH)
-        for index, (config, sim, _) in enumerate(points):
+        for index, ((config, sim, _), sim_watts) in enumerate(
+                zip(points, measured[workload])):
             if index % 2 == 0:
-                backend = PowerModel(config)
-                sim_watts = backend.evaluate(sim.activity).total
                 cpi_samples.append((profile, config, sim.cpi))
                 watt_samples.append((profile, config, sim_watts))
     empirical_cpi = EmpiricalModel().fit(cpi_samples)
@@ -39,9 +39,8 @@ def run_experiment():
         true_points = []
         mechanistic_points = []
         empirical_points = []
-        for config, sim, result in points:
-            backend = PowerModel(config)
-            sim_watts = backend.evaluate(sim.activity).total
+        for (config, sim, result), sim_watts in zip(
+                points, measured[workload]):
             true_points.append((sim.seconds, sim_watts))
             mechanistic_points.append(
                 (result.seconds, result.power_watts)

@@ -8,17 +8,17 @@ from conftest import SHORT_TRACE_LENGTH, get_profile, get_trace, write_table
 
 from repro.core import nehalem
 from repro.core.machine import dvfs_points
-from repro.core.power import PowerModel
+from repro.core.power import power_batch
 from repro.explore.dvfs import config_at, explore_dvfs, optimal_ed2p
 from repro.simulator import simulate
 
 WORKLOADS = ["gamess", "gcc"]
 
 
-def simulated_ed2p(trace, config):
-    sim = simulate(trace, config)
-    backend = PowerModel(config)
-    return backend.ed2p(sim.activity)
+def simulated_ed2p(trace, configs):
+    activities = [simulate(trace, config).activity for config in configs]
+    _, _, _, ed2p = power_batch(configs, activities)
+    return ed2p
 
 
 def run_experiment():
@@ -29,10 +29,9 @@ def run_experiment():
         trace = get_trace(name, SHORT_TRACE_LENGTH)
         profile = get_profile(name, SHORT_TRACE_LENGTH)
         model_results = explore_dvfs(profile, base, points)
-        sim_values = [
-            simulated_ed2p(trace, config_at(base, point))
-            for point in points
-        ]
+        sim_values = simulated_ed2p(
+            trace, [config_at(base, point) for point in points]
+        )
         rows[name] = (points, model_results, sim_values)
     return rows
 

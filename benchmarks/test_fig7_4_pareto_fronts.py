@@ -4,9 +4,8 @@ Paper shape: the model's delay/power frontier overlays the simulated one
 closely enough that picking from the predicted frontier is safe.
 """
 
-from conftest import get_space_data, write_table
+from conftest import get_space_data, simulated_watts, write_table
 
-from repro.core.power import PowerModel
 from repro.explore.pareto import pareto_front
 
 
@@ -17,9 +16,8 @@ def run_experiment():
         true_points = []
         predicted_points = []
         names = []
-        for config, sim, result in points:
-            backend = PowerModel(config)
-            sim_watts = backend.evaluate(sim.activity).total
+        for (config, sim, result), sim_watts in zip(
+                points, simulated_watts(points)):
             true_points.append((sim.seconds, sim_watts))
             predicted_points.append((result.seconds, result.power_watts))
             names.append(config.name)

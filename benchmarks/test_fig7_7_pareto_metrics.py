@@ -6,9 +6,8 @@ specificity 87.9%, accuracy 76.8%, HVR 97.0% -- i.e. specificity and HVR
 high, sensitivity modest (missing clustered optima is acceptable).
 """
 
-from conftest import get_space_data, write_table
+from conftest import get_space_data, simulated_watts, write_table
 
-from repro.core.power import PowerModel
 from repro.explore.pareto import pareto_metrics
 
 
@@ -18,9 +17,8 @@ def run_experiment():
     for workload, points in data.items():
         true_points = []
         predicted_points = []
-        for config, sim, result in points:
-            backend = PowerModel(config)
-            sim_watts = backend.evaluate(sim.activity).total
+        for (_, sim, result), sim_watts in zip(
+                points, simulated_watts(points)):
             true_points.append((sim.seconds, sim_watts))
             predicted_points.append((result.seconds, result.power_watts))
         rows[workload] = pareto_metrics(true_points, predicted_points)

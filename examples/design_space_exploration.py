@@ -6,9 +6,9 @@ design space with the analytical model -- hundreds of configurations in
 seconds because the profile was collected once -- and extract the
 performance/power Pareto frontier to shortlist interesting cores.
 
-The sweep runs on the SweepEngine, which memoizes per-profile
-intermediates across configurations; see examples/parallel_sweep.py for
-its worker-pool, on-disk-cache and streaming modes.
+The sweep runs in-process on the SweepEngine, which memoizes
+per-profile intermediates across configurations; see
+examples/parallel_sweep.py for its worker-pool and streaming modes.
 
 Run:  python examples/design_space_exploration.py
 """

@@ -60,7 +60,20 @@ from repro import obs
 from repro.faults import inject
 from repro.faults.policy import RetryPolicy
 
-__all__ = ["WorkerPool", "WorkerPoolError", "grid_tasks", "iter_grid"]
+__all__ = ["WorkerPool", "WorkerPoolError", "grid_tasks", "iter_grid",
+           "resolve_workers"]
+
+
+def resolve_workers(workers: Optional[int]) -> int:
+    """The worker count a ``workers`` setting runs with.
+
+    ``None`` means one worker per CPU (``os.cpu_count()``); any other
+    value is clamped to at least one, so ``0`` and negative counts run
+    in-process.
+    """
+    if workers is None:
+        return os.cpu_count() or 1
+    return max(1, workers)
 
 
 class WorkerPoolError(RuntimeError):
@@ -210,9 +223,7 @@ class WorkerPool:
 
     def effective_workers(self) -> int:
         """The worker count after resolving the ``None`` default."""
-        if self.workers is None:
-            return os.cpu_count() or 1
-        return max(1, self.workers)
+        return resolve_workers(self.workers)
 
     @property
     def parallel(self) -> bool:

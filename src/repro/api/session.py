@@ -46,7 +46,7 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Union)
 
 from repro import obs
-from repro.api.pool import WorkerPool
+from repro.api.pool import WorkerPool, resolve_workers
 from repro.api.results import RunResult
 from repro.api.runstore import RunStore
 from repro.api.spec import ExperimentSpec, SpecError
@@ -773,8 +773,7 @@ class Session:
                 name, params["instructions"], params["trace_seed"]
             )
             cases.append(ValidationCase(profile=profile, trace=trace))
-        workers = (self.workers if self.workers is not None
-                   else self.pool.effective_workers())
+        workers = resolve_workers(self.workers)
         campaign = ValidationCampaign(
             cases,
             configs,

@@ -40,13 +40,9 @@ from repro.core.mlp import (
     VirtualStream,
     build_virtual_stream,
 )
-from repro.core.memory_model import (
-    bus_queue_cycles,
-    llc_chain_penalty,
-    mshr_soft_cap,
-)
+from repro.core.memory_model import llc_chain_penalty, mshr_soft_cap
 from repro.core.interval import IntervalModel, ModelCache, Prediction
-from repro.core.power import ActivityVector, PowerBreakdown, PowerModel
+from repro.core.power import ActivityVector, PowerBreakdown, power_batch
 from repro.core.model import AnalyticalModel
 from repro.core.batch import BatchConfigs
 
@@ -67,7 +63,6 @@ __all__ = [
     "stride_mlp",
     "VirtualStream",
     "build_virtual_stream",
-    "bus_queue_cycles",
     "llc_chain_penalty",
     "mshr_soft_cap",
     "IntervalModel",
@@ -75,7 +70,7 @@ __all__ = [
     "Prediction",
     "ActivityVector",
     "PowerBreakdown",
-    "PowerModel",
+    "power_batch",
     "AnalyticalModel",
     "BatchConfigs",
 ]

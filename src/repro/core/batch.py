@@ -46,7 +46,7 @@ rules to follow when vectorizing a new component.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -66,14 +66,7 @@ from repro.core.memory_model import (
     mshr_soft_cap,
 )
 from repro.core.mlp import build_virtual_stream, cold_miss_mlp, stride_mlp
-from repro.core.power import (
-    EVENT_ENERGY_NJ,
-    REFERENCE_VDD,
-    _UOP_EVENT,
-    ActivityVector,
-    PowerBreakdown,
-    PowerModel,
-)
+from repro.core.power import ActivityVector, power_batch
 from repro.isa import UopKind
 from repro.profiler.profile import ApplicationProfile
 
@@ -749,118 +742,6 @@ def derive_activity_batch(
 
 
 # ----------------------------------------------------------------------
-# Power model
-# ----------------------------------------------------------------------
-
-
-def _power_batch(
-    batch: BatchConfigs, activities: Sequence[ActivityVector]
-) -> Tuple[List[PowerBreakdown], List[float], List[float], List[float]]:
-    """Breakdowns + (energy, edp, ed2p) for a batch, bitwise-exact."""
-    n = len(batch)
-    if n == 0:
-        return [], [], [], []
-
-    # Every vector of the batch takes its kinds, in order, from the one
-    # profile's mix (derive_activity_batch), so the first names them all.
-    kinds = tuple(activities[0].uop_kind_counts)
-    cycles = np.array([a.cycles for a in activities], dtype=np.float64)
-    uops = np.array([a.uops for a in activities], dtype=np.float64)
-    l1 = np.array([a.l1_accesses for a in activities], dtype=np.float64)
-    l2 = np.array([a.l2_accesses for a in activities], dtype=np.float64)
-    llc = np.array([a.llc_accesses for a in activities], dtype=np.float64)
-    dram = np.array(
-        [a.dram_accesses for a in activities], dtype=np.float64
-    )
-    lookups = np.array(
-        [a.branch_lookups for a in activities], dtype=np.float64
-    )
-
-    # Same structure order (and arithmetic) as PowerModel.structure_areas.
-    mb = 1024.0 * 1024.0
-    areas = {
-        "core_logic": 0.8 * (batch.dispatch_width / 4.0),
-        "rob_rf": 0.5 * (batch.rob_size / 128.0),
-        "functional_units": 0.15 * batch.n_ports,
-        "predictor": np.full(n, 0.1),
-        "l1": 0.12 * (
-            (batch.l1d_bytes + batch.l1i_bytes) / (64.0 * 1024.0)
-        ),
-        "l2": 0.25 * (batch.l2_bytes / (256.0 * 1024.0)),
-        "llc": 2.2 * (batch.llc_bytes / (8.0 * mb)),
-        "memctrl": np.full(n, 0.3),
-    }
-
-    # (vdd / REFERENCE_VDD) ** 2 per *unique* vdd with Python floats:
-    # numpy's power kernel is not guaranteed bit-identical to CPython's.
-    g_vdd = batch.partition("vdd")
-    vscale = g_vdd.gather([
-        (batch.configs[rep].vdd / REFERENCE_VDD) ** 2 for rep in g_vdd.reps
-    ])
-
-    static = {
-        name: PowerModel.LEAKAGE_DENSITY * area * vscale
-        for name, area in areas.items()
-    }
-
-    mask = cycles > 0.0
-    freq_hz = batch.frequency_ghz * 1e9
-    seconds = cycles / freq_hz
-    safe_seconds = np.where(mask, seconds, 1.0)
-
-    def watts(event: str, count: np.ndarray) -> np.ndarray:
-        return (
-            count * EVENT_ENERGY_NJ[event] * 1e-9 * vscale / safe_seconds
-        )
-
-    dynamic: Dict[str, np.ndarray] = {}
-    dynamic["core_logic"] = watts("uop", uops) + watts("clock", cycles)
-    fu = np.zeros(n)
-    for kind in kinds:
-        counts = np.array(
-            [a.uop_kind_counts[kind] for a in activities], dtype=np.float64
-        )
-        fu = fu + watts(_UOP_EVENT.get(kind, "int_alu"), counts)
-    dynamic["functional_units"] = fu
-    dynamic["rob_rf"] = watts("uop", uops) * 0.6
-    dynamic["predictor"] = watts("branch_lookup", lookups)
-    dynamic["l1"] = watts("l1", l1)
-    dynamic["l2"] = watts("l2", l2)
-    dynamic["llc"] = watts("llc", llc)
-    dynamic["memctrl"] = watts("dram", dram)
-
-    static_total = np.zeros(n)
-    for value in static.values():
-        static_total = static_total + value
-    dynamic_total = np.zeros(n)
-    for value in dynamic.values():
-        dynamic_total = dynamic_total + value
-    dynamic_total = np.where(mask, dynamic_total, 0.0)
-    total = static_total + dynamic_total
-    energy = total * seconds
-    edp = energy * seconds
-    ed2p = edp * seconds
-
-    static_names = list(static)
-    dynamic_names = list(dynamic)
-    static_rows = zip(*[value.tolist() for value in static.values()])
-    dynamic_rows = zip(*[value.tolist() for value in dynamic.values()])
-    breakdowns = []
-    new_breakdown = PowerBreakdown.__new__
-    for masked, static_row, dynamic_row in zip(
-            mask.tolist(), static_rows, dynamic_rows):
-        breakdown = new_breakdown(PowerBreakdown)
-        breakdown.__dict__ = {
-            "static": dict(zip(static_names, static_row)),
-            "dynamic": (
-                dict(zip(dynamic_names, dynamic_row)) if masked else {}
-            ),
-        }
-        breakdowns.append(breakdown)
-    return breakdowns, energy.tolist(), edp.tolist(), ed2p.tolist()
-
-
-# ----------------------------------------------------------------------
 # Full pipeline
 # ----------------------------------------------------------------------
 
@@ -878,7 +759,7 @@ def predict_model_batch(
     activities = derive_activity_batch(
         profile, predictions, batch, cache=model.interval.cache
     )
-    breakdowns, energy, edp, ed2p = _power_batch(batch, activities)
+    breakdowns, energy, edp, ed2p = power_batch(batch, activities)
     return [
         ModelResult(
             performance=predictions[j],

@@ -14,7 +14,8 @@ independent profile:
 * m_bpred from linear branch entropy via a per-predictor linear model;
 * cache misses from StatStack miss ratios;
 * MLP from the cold-miss or stride model, MSHR-capped;
-* bus queuing and LLC hit chaining from Eqs 4.5--4.12.
+* LLC hit chaining from Eqs 4.7--4.12, and bus contention as a floor
+  on the DRAM component at the bus occupancy of all transfers.
 """
 
 from __future__ import annotations

@@ -1,14 +1,17 @@
-"""Memory-side penalty models: MSHR cap, bus queuing, LLC hit chaining.
+"""Memory-side penalty models: MSHR cap, LLC hit chaining, I-cache.
 
 * :func:`mshr_soft_cap` -- thesis Eq 4.4: misses beyond the MSHR file
   overlap only partially with outstanding ones ('soft' cap on MLP).
-* :func:`bus_queue_cycles` -- thesis Eqs 4.5--4.6: concurrent misses
-  serialize on the memory bus; store misses are folded into the
-  concurrency factor because they consume bandwidth even though they do
-  not stall the core.
 * :func:`llc_chain_penalty` -- thesis Eqs 4.7--4.12: chains of dependent
   LLC *hits* whose serialized latency exceeds the ROB fill time show up
   as a visible penalty.
+* :func:`icache_penalty` -- thesis Eq 3.1 term 3: each instruction-side
+  miss pays the next level's access latency.
+
+Bus queuing has no helper here.  The model kernel does not charge the
+per-miss queue of Eqs 4.5--4.6; it floors the DRAM component at the
+bus occupancy of all load and store transfers instead (the saturated-
+bus regime of thesis §4.7).
 
 The MSHR cap and the chain penalty are evaluated elementwise over a
 config batch by the model kernel (:mod:`repro.core.batch`); their
@@ -53,28 +56,6 @@ def mshr_soft_cap(
     t_free = np.minimum(t_dram, (waiting + 1.0) / 2.0 * t_dram / in_flight)
     capped = in_flight + waiting * (t_dram - t_free) / t_dram
     return np.where(mlp <= in_flight, mlp, capped)
-
-
-def bus_queue_cycles(
-    mlp: float,
-    llc_load_misses: float,
-    llc_store_misses: float,
-    config: MachineConfig,
-) -> float:
-    """Average per-miss bus queuing latency (Eqs 4.5--4.6).
-
-    The i-th of MLP' concurrent misses waits i bus-transfer slots, so the
-    mean bus latency is ``(MLP' + 1)/2 * c_transfer``.  MLP' rescales the
-    load-only MLP by total (load+store) traffic; multiple channels divide
-    the effective concurrency.
-    """
-    transfer = float(config.bus_transfer_cycles)
-    if llc_load_misses <= 0.0:
-        return transfer
-    scaled = mlp * (llc_load_misses + llc_store_misses) / llc_load_misses
-    scaled /= max(1, config.memory_channels)
-    scaled = max(scaled, 1.0)
-    return (scaled + 1.0) / 2.0 * transfer
 
 
 def llc_chain_penalty(

@@ -7,19 +7,24 @@ Power = static + dynamic:
 * dynamic (Eq 2.2): ``P_d = 1/2 C V^2 a f`` expressed per structure as
   (events/cycle) * (energy/event at V_dd) * frequency.
 
-Both the analytical model (predicted activity factors, Eq 3.16) and the
-reference simulator (measured activity factors) feed the same backend,
-exactly as the paper routes both through McPAT.  Per-event energies and
-per-area leakage densities are calibrated so the reference Nehalem-like
-core lands near 10 W with roughly 40% static power at 45 nm (thesis §2.4).
+:func:`power_batch` is the backend's one implementation.  The
+analytical model (predicted activity factors, Eq 3.16) and the
+reference simulator (measured activity factors) both call it, exactly
+as the paper routes both through McPAT.  It prices a whole config batch
+as one array program and reproduces the per-configuration oracle in
+``tests/reference/power.py`` bitwise: every float, the breakdowns' dict
+key order and their totals.  Per-event energies and per-area leakage
+densities are calibrated so the reference Nehalem-like core lands near
+10 W with roughly 40% static power at 45 nm (thesis §2.4).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, List, Sequence, Tuple
 
-from repro.core.machine import MachineConfig
+import numpy as np
+
 from repro.isa import UopKind
 
 #: Per-event dynamic energy at the reference voltage (nJ).
@@ -97,100 +102,146 @@ class PowerBreakdown:
         }
 
 
-class PowerModel:
-    """Computes power from a machine configuration and activity vector."""
+#: Leakage density: watts per mm^2-equivalent area unit at 1.1 V.
+LEAKAGE_DENSITY = 1.0
 
-    #: Leakage density: watts per mm^2-equivalent area unit at 1.1 V.
-    LEAKAGE_DENSITY = 1.0
 
-    def __init__(self, config: MachineConfig) -> None:
-        self.config = config
+def power_batch(
+    configs,  # BatchConfigs or MachineConfigs (batch imports this module)
+    activities: Sequence[ActivityVector],
+) -> Tuple[List[PowerBreakdown], List[float], List[float], List[float]]:
+    """Price activity vectors on their configurations, as one batch.
 
-    # -- area model (arbitrary area units ~ mm^2) ----------------------
+    ``activities[i]`` is priced on ``configs[i]``.  Returns one
+    :class:`PowerBreakdown` per pair, in input order, and the energy
+    (J), energy-delay (J*s) and energy-delay-squared (J*s^2) products.
+    A vector with no cycles draws static power only: its ``dynamic``
+    dict is empty and its energy is zero.
 
-    def structure_areas(self) -> Dict[str, float]:
-        """Area per structure, scaling with configured sizes."""
-        config = self.config
-        mb = 1024.0 * 1024.0
-        return {
-            "core_logic": 0.8 * (config.dispatch_width / 4.0),
-            "rob_rf": 0.5 * (config.rob_size / 128.0),
-            "functional_units": 0.15 * len(config.ports),
-            "predictor": 0.1,
-            "l1": 0.12 * (
-                (config.l1d.size_bytes + config.l1i.size_bytes)
-                / (64.0 * 1024.0)
-            ),
-            "l2": 0.25 * (config.l2.size_bytes / (256.0 * 1024.0)),
-            "llc": 2.2 * (config.llc.size_bytes / (8.0 * mb)),
-            "memctrl": 0.3,
-        }
+    Raises
+    ------
+    ValueError
+        If there is not one activity per config, or if the activities'
+        ``uop_kind_counts`` name different kinds or the same kinds in
+        another order: the functional-unit watts are summed over one
+        kind tuple for the whole batch, and the summation order is part
+        of the result.
+    """
+    from repro.core.batch import BatchConfigs
 
-    # -- power ----------------------------------------------------------
+    batch = BatchConfigs.ensure(configs)
+    n = len(batch)
+    if len(activities) != n:
+        raise ValueError(
+            f"{len(activities)} activities for {n} configurations"
+        )
+    if n == 0:
+        return [], [], [], []
 
-    def _voltage_scale_dynamic(self) -> float:
-        return (self.config.vdd / REFERENCE_VDD) ** 2
-
-    def _voltage_scale_static(self) -> float:
-        # Leakage grows superlinearly with Vdd; model ~V^2 as well.
-        return (self.config.vdd / REFERENCE_VDD) ** 2
-
-    def static_power(self) -> Dict[str, float]:
-        scale = self._voltage_scale_static()
-        return {
-            name: self.LEAKAGE_DENSITY * area * scale
-            for name, area in self.structure_areas().items()
-        }
-
-    def dynamic_power(self, activity: ActivityVector) -> Dict[str, float]:
-        """Dynamic watts per structure from activity factors (Eq 3.16)."""
-        if activity.cycles <= 0.0:
-            return {}
-        freq_hz = self.config.frequency_ghz * 1e9
-        vscale = self._voltage_scale_dynamic()
-        seconds = activity.cycles / freq_hz
-
-        def watts(event: str, count: float) -> float:
-            return (
-                count * EVENT_ENERGY_NJ[event] * 1e-9 * vscale / seconds
+    first = activities[0].uop_kind_counts
+    kinds = tuple(first)
+    for activity in activities:
+        counts = activity.uop_kind_counts
+        if counts is not first and tuple(counts) != kinds:
+            raise ValueError(
+                f"activities name different uop kinds: {kinds} "
+                f"and {tuple(counts)}"
             )
+    cycles = np.array([a.cycles for a in activities], dtype=np.float64)
+    uops = np.array([a.uops for a in activities], dtype=np.float64)
+    l1 = np.array([a.l1_accesses for a in activities], dtype=np.float64)
+    l2 = np.array([a.l2_accesses for a in activities], dtype=np.float64)
+    llc = np.array([a.llc_accesses for a in activities], dtype=np.float64)
+    dram = np.array(
+        [a.dram_accesses for a in activities], dtype=np.float64
+    )
+    lookups = np.array(
+        [a.branch_lookups for a in activities], dtype=np.float64
+    )
 
-        power: Dict[str, float] = {}
-        power["core_logic"] = watts("uop", activity.uops) + watts(
-            "clock", activity.cycles
+    # Area per structure (arbitrary units ~ mm^2), scaling with the
+    # configured sizes; the dict order is the breakdowns' key order.
+    mb = 1024.0 * 1024.0
+    areas = {
+        "core_logic": 0.8 * (batch.dispatch_width / 4.0),
+        "rob_rf": 0.5 * (batch.rob_size / 128.0),
+        "functional_units": 0.15 * batch.n_ports,
+        "predictor": np.full(n, 0.1),
+        "l1": 0.12 * (
+            (batch.l1d_bytes + batch.l1i_bytes) / (64.0 * 1024.0)
+        ),
+        "l2": 0.25 * (batch.l2_bytes / (256.0 * 1024.0)),
+        "llc": 2.2 * (batch.llc_bytes / (8.0 * mb)),
+        "memctrl": np.full(n, 0.3),
+    }
+
+    # (vdd / REFERENCE_VDD) ** 2 per *unique* vdd with Python floats:
+    # numpy's power kernel is not guaranteed bit-identical to CPython's.
+    # Leakage grows superlinearly with Vdd, so static power takes the
+    # same ~V^2 scale as dynamic power.
+    g_vdd = batch.partition("vdd")
+    vscale = g_vdd.gather([
+        (batch.configs[rep].vdd / REFERENCE_VDD) ** 2 for rep in g_vdd.reps
+    ])
+
+    static = {
+        name: LEAKAGE_DENSITY * area * vscale
+        for name, area in areas.items()
+    }
+
+    # Dynamic watts per structure from activity factors (Eq 3.16).
+    mask = cycles > 0.0
+    freq_hz = batch.frequency_ghz * 1e9
+    seconds = cycles / freq_hz
+    safe_seconds = np.where(mask, seconds, 1.0)
+
+    def watts(event: str, count: np.ndarray) -> np.ndarray:
+        return (
+            count * EVENT_ENERGY_NJ[event] * 1e-9 * vscale / safe_seconds
         )
-        fu = 0.0
-        for kind, count in activity.uop_kind_counts.items():
-            event = _UOP_EVENT.get(kind, "int_alu")
-            fu += watts(event, count)
-        power["functional_units"] = fu
-        power["rob_rf"] = watts("uop", activity.uops) * 0.6
-        power["predictor"] = watts("branch_lookup", activity.branch_lookups)
-        power["l1"] = watts("l1", activity.l1_accesses)
-        power["l2"] = watts("l2", activity.l2_accesses)
-        power["llc"] = watts("llc", activity.llc_accesses)
-        power["memctrl"] = watts("dram", activity.dram_accesses)
-        return power
 
-    def evaluate(self, activity: ActivityVector) -> PowerBreakdown:
-        return PowerBreakdown(
-            static=self.static_power(),
-            dynamic=self.dynamic_power(activity),
+    dynamic: Dict[str, np.ndarray] = {}
+    dynamic["core_logic"] = watts("uop", uops) + watts("clock", cycles)
+    fu = np.zeros(n)
+    for kind in kinds:
+        counts = np.array(
+            [a.uop_kind_counts[kind] for a in activities], dtype=np.float64
         )
+        fu = fu + watts(_UOP_EVENT.get(kind, "int_alu"), counts)
+    dynamic["functional_units"] = fu
+    dynamic["rob_rf"] = watts("uop", uops) * 0.6
+    dynamic["predictor"] = watts("branch_lookup", lookups)
+    dynamic["l1"] = watts("l1", l1)
+    dynamic["l2"] = watts("l2", l2)
+    dynamic["llc"] = watts("llc", llc)
+    dynamic["memctrl"] = watts("dram", dram)
 
-    # -- energy metrics ---------------------------------------------------
+    static_total = np.zeros(n)
+    for value in static.values():
+        static_total = static_total + value
+    dynamic_total = np.zeros(n)
+    for value in dynamic.values():
+        dynamic_total = dynamic_total + value
+    dynamic_total = np.where(mask, dynamic_total, 0.0)
+    total = static_total + dynamic_total
+    energy = total * seconds
+    edp = energy * seconds
+    ed2p = edp * seconds
 
-    def energy_joules(self, activity: ActivityVector) -> float:
-        breakdown = self.evaluate(activity)
-        seconds = activity.cycles / (self.config.frequency_ghz * 1e9)
-        return breakdown.total * seconds
-
-    def edp(self, activity: ActivityVector) -> float:
-        """Energy-delay product (J*s)."""
-        seconds = activity.cycles / (self.config.frequency_ghz * 1e9)
-        return self.energy_joules(activity) * seconds
-
-    def ed2p(self, activity: ActivityVector) -> float:
-        """Energy-delay-squared product (J*s^2)."""
-        seconds = activity.cycles / (self.config.frequency_ghz * 1e9)
-        return self.energy_joules(activity) * seconds * seconds
+    static_names = list(static)
+    dynamic_names = list(dynamic)
+    static_rows = zip(*[value.tolist() for value in static.values()])
+    dynamic_rows = zip(*[value.tolist() for value in dynamic.values()])
+    breakdowns = []
+    new_breakdown = PowerBreakdown.__new__
+    for masked, static_row, dynamic_row in zip(
+            mask.tolist(), static_rows, dynamic_rows):
+        breakdown = new_breakdown(PowerBreakdown)
+        breakdown.__dict__ = {
+            "static": dict(zip(static_names, static_row)),
+            "dynamic": (
+                dict(zip(dynamic_names, dynamic_row)) if masked else {}
+            ),
+        }
+        breakdowns.append(breakdown)
+    return breakdowns, energy.tolist(), edp.tolist(), ed2p.tolist()

@@ -35,7 +35,6 @@ dependency keys, and batches are streamed back in submission order.
 
 from __future__ import annotations
 
-import os
 from typing import (
     Callable,
     Dict,
@@ -88,9 +87,10 @@ class SweepEngine:
         faster).  Attach your own cache to the model to keep memoized
         state across sweeps instead.
     workers:
-        Number of worker processes.  ``None`` uses ``os.cpu_count()``;
-        values ``<= 1`` evaluate in-process.  Results are bitwise
-        identical, in the same order, at any worker count.
+        Number of worker processes (default 1).  ``None`` uses
+        ``os.cpu_count()``; values ``<= 1`` evaluate in-process.
+        Results are bitwise identical, in the same order, at any worker
+        count.
     batch_size:
         Configurations per worker task.  Defaults to roughly a quarter
         of the per-worker share, so the pool stays busy without
@@ -117,7 +117,7 @@ class SweepEngine:
     def __init__(
         self,
         model: Optional[AnalyticalModel] = None,
-        workers: Optional[int] = None,
+        workers: Optional[int] = 1,
         batch_size: Optional[int] = None,
         pool=None,
         progress: Optional[Callable[[int, int], None]] = None,
@@ -129,12 +129,6 @@ class SweepEngine:
         self.progress = progress
 
     # ------------------------------------------------------------------
-
-    def effective_workers(self) -> int:
-        """The worker count after resolving the ``None`` default."""
-        if self.workers is None:
-            return os.cpu_count() or 1
-        return max(1, self.workers)
 
     def prepare(self, profiles: Sequence[ApplicationProfile]) -> None:
         """Build each profile's StatStack models before the sweep.
@@ -167,12 +161,12 @@ class SweepEngine:
         DesignPoint
             One evaluated (workload, configuration) pair at a time.
         """
-        from repro.api.pool import grid_tasks, iter_grid
+        from repro.api.pool import grid_tasks, iter_grid, resolve_workers
         from repro.explore.dse import DesignPoint
 
         profiles = list(profiles)
         configs = list(configs)
-        workers = self.effective_workers()
+        workers = resolve_workers(self.workers)
         with obs.span(
             "engine.sweep",
             profiles=len(profiles),

@@ -30,7 +30,6 @@ Reports are bitwise identical at any worker count.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass, field
 from typing import (
@@ -46,7 +45,7 @@ from typing import (
 from repro import obs
 from repro.core.machine import MachineConfig
 from repro.core.model import AnalyticalModel
-from repro.core.power import PowerBreakdown, PowerModel
+from repro.core.power import PowerBreakdown, power_batch
 from repro.explore.dse import DesignPoint, ErrorStats, error_statistics
 from repro.explore.empirical import EmpiricalModel
 from repro.explore.engine import SweepEngine
@@ -92,8 +91,9 @@ class SimulatedPoint:
     """One simulated (workload, configuration) evaluation.
 
     The cycle-level twin of :class:`~repro.explore.dse.DesignPoint`:
-    measured activity is routed through the same power backend the
-    model uses, exactly as the paper feeds both through McPAT.
+    measured activity is priced by the same power kernel the model
+    uses (:func:`~repro.core.power.power_batch`), exactly as the paper
+    feeds both through McPAT.
 
     Attributes
     ----------
@@ -105,12 +105,15 @@ class SimulatedPoint:
         The full :class:`~repro.simulator.simulator.SimulationResult`.
     power:
         Power evaluated at the *measured* activity factors.
+    energy_joules:
+        Total energy at the measured activity, in joules.
     """
 
     workload: str
     config: MachineConfig
     result: SimulationResult
     power: PowerBreakdown
+    energy_joules: float
 
     @property
     def cpi(self) -> float:
@@ -126,11 +129,6 @@ class SimulatedPoint:
     def power_watts(self) -> float:
         """Average power at the measured activity, in watts."""
         return self.power.total
-
-    @property
-    def energy_joules(self) -> float:
-        """Total energy at the measured activity, in joules."""
-        return self.power.total * self.result.seconds
 
 
 class SimulationSweep:
@@ -157,9 +155,10 @@ class SimulationSweep:
     Parameters
     ----------
     workers:
-        Worker processes.  ``None`` uses ``os.cpu_count()``; values
-        ``<= 1`` simulate in-process.  Points are bitwise identical, in
-        the same order, at any worker count.
+        Worker processes (default 1).  ``None`` uses
+        ``os.cpu_count()``; values ``<= 1`` simulate in-process.
+        Points are bitwise identical, in the same order, at any worker
+        count.
     batch_size:
         Configurations per worker task; defaults to roughly a quarter
         of the per-worker share.
@@ -183,7 +182,7 @@ class SimulationSweep:
 
     def __init__(
         self,
-        workers: Optional[int] = None,
+        workers: Optional[int] = 1,
         batch_size: Optional[int] = None,
         pool=None,
         progress: Optional[Callable[[int, int], None]] = None,
@@ -192,12 +191,6 @@ class SimulationSweep:
         self.batch_size = batch_size
         self.pool = pool
         self.progress = progress
-
-    def effective_workers(self) -> int:
-        """The worker count after resolving the ``None`` default."""
-        if self.workers is None:
-            return os.cpu_count() or 1
-        return max(1, self.workers)
 
     def iter_sweep(
         self,
@@ -214,11 +207,11 @@ class SimulationSweep:
         SimulatedPoint
             One simulated (workload, configuration) pair at a time.
         """
-        from repro.api.pool import grid_tasks, iter_grid
+        from repro.api.pool import grid_tasks, iter_grid, resolve_workers
 
         traces = list(traces)
         configs = list(configs)
-        workers = self.effective_workers()
+        workers = resolve_workers(self.workers)
         with obs.span(
             "sim.sweep",
             traces=len(traces),
@@ -233,31 +226,29 @@ class SimulationSweep:
             total = len(traces) * len(configs)
             done = 0
             try:
-                for (trace_index, start, _), results in zip(tasks,
-                                                            batches):
+                for (trace_index, start, stop), results in zip(tasks,
+                                                               batches):
                     metrics.inc("sim.batches")
                     metrics.inc("sim.points", len(results))
-                    trace = traces[trace_index]
-                    for offset, result in enumerate(results):
+                    name = traces[trace_index].name
+                    # One power-kernel call per task: a task's results
+                    # share one trace, so their activities name the
+                    # same uop kinds in the same order.
+                    chunk = configs[start:stop]
+                    breakdowns, energy, _, _ = power_batch(
+                        chunk, [result.activity for result in results]
+                    )
+                    for config, result, power, joules in zip(
+                            chunk, results, breakdowns, energy):
                         done += 1
                         if self.progress is not None:
                             self.progress(done, total)
-                        yield self._fold(
-                            trace, configs[start + offset], result
+                        yield SimulatedPoint(
+                            workload=name, config=config, result=result,
+                            power=power, energy_joules=joules,
                         )
             finally:
                 batches.close()
-
-    def _fold(
-        self, trace: Trace, config: MachineConfig,
-        result: SimulationResult,
-    ) -> SimulatedPoint:
-        """Attach the power evaluation to one raw simulation result."""
-        power = PowerModel(config).evaluate(result.activity)
-        return SimulatedPoint(
-            workload=trace.name, config=config,
-            result=result, power=power,
-        )
 
 
 # ----------------------------------------------------------------------

@@ -59,3 +59,22 @@ def gamess_profile(gamess_trace):
 @pytest.fixture(scope="session")
 def reference_config():
     return nehalem()
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """On a pretended 4-CPU host, record every attempt to start a
+    ``multiprocessing.Pool`` (each raises): a test asserts the list
+    stays empty to show its code ran in-process."""
+    import multiprocessing
+    import os
+
+    started = []
+
+    def no_pool(*args, **kwargs):
+        started.append(kwargs)
+        raise OSError("worker processes are off limits here")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    return started

@@ -12,7 +12,7 @@ generator tests (``test_workloads.py``), profiler tests
 (``test_columnar.py``), model tests (``test_model_batch.py``) and
 engine tests (``test_engine.py``) all pin the same contract.
 
-Comparers come in four families:
+Comparers come in five families:
 
 * profile-side -- :func:`assert_profiles_bitwise`,
   :func:`assert_memory_profiles_bitwise` compare oracle vs columnar
@@ -24,6 +24,8 @@ Comparers come in four families:
   :func:`predict_both` runs one config batch through both;
 * simulator-side -- :func:`assert_simulations_bitwise` compares two
   :class:`~repro.simulator.simulator.SimulationResult` field by field;
+* power-side -- :func:`assert_power_bitwise` compares one breakdown and
+  energy of the power kernel with the per-config power oracle;
 * generator-side -- :func:`assert_traces_identical` compares the seven
   trace columns and their dtypes, and :func:`workload_specs` draws the
   kernel specs both generators expand.
@@ -38,6 +40,7 @@ import json
 from hypothesis import strategies as st
 
 from reference.model import predict_batch_scalar
+from reference.power import PowerModel
 from repro.core.interval import ModelCache
 from repro.core.machine import config_from_params, design_space
 from repro.core.model import AnalyticalModel
@@ -208,6 +211,29 @@ def assert_cache_states_equal(a, b):
     assert set(a._memo) == set(b._memo)
     for key, value in a._memo.items():
         assert _values_equal(value, b._memo[key]), key
+
+
+# ---------------------------------------------------------------------------
+# Comparers: power side (per-config oracle vs the power kernel).
+# ---------------------------------------------------------------------------
+
+
+def _hex(values):
+    return [value.hex() for value in values]
+
+
+def assert_power_bitwise(config, activity, breakdown, energy):
+    """A breakdown and energy priced by the power kernel match the
+    per-config oracle bitwise: every float, both dicts' key order, the
+    total and the energy."""
+    oracle = PowerModel(config)
+    expected = oracle.evaluate(activity)
+    for part in ("static", "dynamic"):
+        want, have = getattr(expected, part), getattr(breakdown, part)
+        assert list(have) == list(want), part
+        assert _hex(have.values()) == _hex(want.values()), part
+    assert breakdown.total.hex() == expected.total.hex()
+    assert energy.hex() == oracle.energy_joules(activity).hex()
 
 
 # ---------------------------------------------------------------------------

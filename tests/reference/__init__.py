@@ -20,6 +20,9 @@ outcome-pass + timing-core simulator must match, and ``generator.py``
 the former trace generator that appended one ``Instruction`` per
 dynamic instruction and truncated at the end, whose seven columns the
 columnar generator must match.
+``power.py`` keeps the per-configuration ``PowerModel`` that the one
+power kernel, ``repro.core.power.power_batch``, must match for model
+and simulator activity alike.
 They live with the tests, not in the package, so the package ships
 one implementation per mechanism.  The columnar-profiler and
 batched-model benchmark gates (``benchmarks/bench_profiler.py``,

@@ -15,6 +15,9 @@ state alike:
 * :func:`derive_activity_scalar` is the former ``derive_activity``
   (Eq 3.16) and :func:`predict_scalar` the former
   ``AnalyticalModel.predict`` body (interval model, activity, power).
+  Power is priced by the package's one power kernel,
+  :func:`~repro.core.power.power_batch`, as a one-config batch; the
+  kernel has its own oracle in ``tests/reference/power.py``.
 
 The shared per-group helpers (dispatch limits, branch resolution,
 StatStack queries, virtual streams, stride/cold MLP, I-cache penalty)
@@ -48,7 +51,7 @@ from repro.core.mlp import (
     stride_mlp,
 )
 from repro.core.model import AnalyticalModel, ModelResult
-from repro.core.power import ActivityVector, PowerModel
+from repro.core.power import ActivityVector, power_batch
 from repro.isa import UopKind
 from repro.profiler.profile import ApplicationProfile, MicroTraceProfile
 
@@ -433,15 +436,16 @@ def predict_scalar(
     activity = derive_activity_scalar(
         profile, prediction, config, cache=model.interval.cache
     )
-    power_model = PowerModel(config)
-    breakdown = power_model.evaluate(activity)
+    (breakdown,), (energy,), (edp,), (ed2p,) = power_batch(
+        [config], [activity]
+    )
     return ModelResult(
         performance=prediction,
         power=breakdown,
         activity=activity,
-        energy_joules=power_model.energy_joules(activity),
-        edp=power_model.edp(activity),
-        ed2p=power_model.ed2p(activity),
+        energy_joules=energy,
+        edp=edp,
+        ed2p=ed2p,
     )
 
 

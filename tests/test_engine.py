@@ -1,7 +1,5 @@
 """Sweep engine: parallel/serial identity, caching, streaming, store."""
 
-import os
-
 import pytest
 
 from equivalence import assert_points_identical as _assert_points_identical
@@ -238,26 +236,26 @@ class TestEngineConsumers:
             rel=0.5, abs=0.5,
         )
 
-    def test_empirical_fit_sweep_default_is_serial(self, gcc_profile,
-                                                   gamess_profile,
-                                                   monkeypatch):
+    def test_sweep_engine_default_is_serial(self, gcc_profile,
+                                            pool_starts):
         # The default engine must not start worker processes, even on
         # a multi-core host.
-        import multiprocessing
+        configs = design_space({"dispatch_width": (2, 4, 6),
+                                "rob_size": (64, 256)})
+        results = SweepEngine().sweep([gcc_profile], configs)
+        assert len(results["gcc"]) == len(configs)
+        assert pool_starts == []
 
-        started = []
-
-        def no_pool(*args, **kwargs):
-            started.append(kwargs)
-            raise OSError("worker processes are off limits here")
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    def test_empirical_fit_sweep_default_is_serial(self, gcc_profile,
+                                                   gamess_profile,
+                                                   pool_starts):
+        # The default engine must not start worker processes, even on
+        # a multi-core host.
         configs = design_space({"dispatch_width": (2, 4, 6),
                                 "rob_size": (64, 256)})
         EmpiricalModel().fit_sweep([gcc_profile, gamess_profile],
                                    configs)
-        assert started == []
+        assert pool_starts == []
 
 
 class TestSeededReuseSampling:

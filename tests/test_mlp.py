@@ -1,4 +1,4 @@
-"""MLP model tests: cold-miss model, stride model, MSHR cap, bus queue."""
+"""MLP model tests: cold-miss model, stride model, MSHR cap."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from reference.mlp import stride_mlp_scalar
 from reference.model import mshr_soft_cap_scalar
 from repro.core.machine import MachineConfig
-from repro.core.memory_model import bus_queue_cycles, mshr_soft_cap
+from repro.core.memory_model import mshr_soft_cap
 from repro.core.mlp import (
     MLPResult,
     VirtualLoad,
@@ -135,36 +135,6 @@ class TestMSHRSoftCap:
         ).tolist()
         oracle = [mshr_soft_cap_scalar(m, config) for m in mlps]
         assert [v.hex() for v in batch] == [v.hex() for v in oracle]
-
-
-class TestBusQueue:
-    def test_eq_4_5_three_concurrent(self):
-        # cbus(3) = (3+1)/2 * c_transfer.
-        config = MachineConfig(bus_transfer_cycles=16)
-        cycles = bus_queue_cycles(3.0, llc_load_misses=10.0,
-                                  llc_store_misses=0.0, config=config)
-        assert cycles == pytest.approx(2.0 * 16)
-
-    def test_store_misses_rescale_concurrency(self):
-        # Eq 4.6: MLP' = MLP * (loads + stores) / loads.
-        config = MachineConfig(bus_transfer_cycles=16)
-        loads_only = bus_queue_cycles(2.0, 10.0, 0.0, config)
-        with_stores = bus_queue_cycles(2.0, 10.0, 10.0, config)
-        assert with_stores > loads_only
-        assert with_stores == pytest.approx((4.0 + 1.0) / 2.0 * 16)
-
-    def test_no_misses_min_transfer(self):
-        config = MachineConfig(bus_transfer_cycles=16)
-        assert bus_queue_cycles(1.0, 0.0, 0.0, config) == 16
-
-    def test_channels_divide_concurrency(self):
-        one = bus_queue_cycles(
-            8.0, 10.0, 0.0, MachineConfig(memory_channels=1)
-        )
-        two = bus_queue_cycles(
-            8.0, 10.0, 0.0, MachineConfig(memory_channels=2)
-        )
-        assert two < one
 
 
 def make_statstack_always_miss():

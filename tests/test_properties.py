@@ -161,12 +161,12 @@ class TestModelInvariants:
     @given(st.sampled_from([1.2, 1.6, 2.0, 2.66, 3.4]))
     @settings(max_examples=5, deadline=None)
     def test_power_increases_with_frequency(self, freq):
-        from repro.core.power import PowerModel, ActivityVector
-        base = PowerModel(nehalem())
-        scaled = PowerModel(nehalem().with_frequency(freq + 0.4))
+        from repro.core.power import ActivityVector, power_batch
         activity = ActivityVector(cycles=10_000, uops=15_000,
                                   l1_accesses=5000)
-        slower = PowerModel(nehalem().with_frequency(freq))
-        assert scaled.evaluate(activity).total > (
-            slower.evaluate(activity).total
+        (slower, scaled), _, _, _ = power_batch(
+            [nehalem().with_frequency(freq),
+             nehalem().with_frequency(freq + 0.4)],
+            [activity, activity],
         )
+        assert scaled.total > slower.total

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from equivalence import assert_simulations_bitwise
-from repro.core.machine import design_space
+from equivalence import assert_power_bitwise, assert_simulations_bitwise
+from repro.core.machine import config_from_params, design_space
 from repro.explore.validate import (
     SimulationSweep,
     ValidationCampaign,
@@ -81,6 +81,41 @@ class TestSimulationSweep:
             point.power_watts * point.seconds
         )
         assert point.cpi == point.result.cpi
+
+    def test_points_match_power_oracle(self):
+        # The five perfbench apps on the four Table 6.3 corners of the
+        # validate benchmark (width 2 / ROB 64 and width 6 / ROB 256,
+        # each with a 2 MB and an 8 MB LLC), two configs per task.
+        configs = [
+            config_from_params({"dispatch_width": width, "rob_size": rob,
+                                "llc_mb": llc})
+            for width, rob in ((2, 64), (6, 256)) for llc in (2, 8)
+        ]
+        traces = [
+            generate_trace(make_workload(name), max_instructions=6000)
+            for name in ("libquantum", "mcf", "gamess", "gcc", "astar")
+        ]
+        points = list(SimulationSweep(workers=1, batch_size=2).iter_sweep(
+            traces, configs))
+        grid = [(trace, config) for trace in traces for config in configs]
+        assert len(points) == len(grid)
+        for point, (trace, config) in zip(points, grid):
+            assert point.workload == point.result.workload == trace.name
+            assert point.config is config
+            assert point.result.config_name == config.name
+            assert_power_bitwise(config, point.result.activity,
+                                 point.power, point.energy_joules)
+
+    def test_default_is_serial(self, pool_starts):
+        # The default sweep must not start worker processes, even on a
+        # multi-core host.
+        configs = design_space({"dispatch_width": (2, 4, 6),
+                                "rob_size": (64, 256)})
+        trace = generate_trace(make_workload("gcc"),
+                               max_instructions=1000)
+        points = list(SimulationSweep().iter_sweep([trace], configs))
+        assert len(points) == len(configs)
+        assert pool_starts == []
 
 
 class TestValidationCase:
