@@ -11,11 +11,12 @@ fingerprint/cache sinks, worker-pool shipping safety, seeded-RNG
 discipline, the telemetry timing contract, ``__all__`` consistency, and
 the migrated public-API docstring guarantee.
 
-Front doors: the ``repro lint`` CLI subcommand and ``tools/lint.py``
-(CI), both thin wrappers over :func:`run_lint`.  Intentional exceptions
-live in an explicit, reviewed baseline file
-(``tools/lint_baseline.toml``; see :mod:`repro.analysis.baseline`) --
-the shipped baseline is empty and the CI gate keeps it that way.
+Front door: the ``repro lint`` CLI subcommand, a thin wrapper over
+:func:`run_lint` that CI runs from the repository root.  There is no
+suppression list: any finding fails the run, and an intentional
+exception is written into the rule it would trip (the
+:class:`~repro.core.interval.ModelCache` ``id()`` keys, the
+``WorkerPool`` module itself, clock reads inside ``repro.obs``).
 
 Examples
 --------
@@ -25,7 +26,6 @@ Examples
 True
 """
 
-from repro.analysis.baseline import Baseline, BaselineError
 from repro.analysis.engine import LintContext, LintError, run_lint
 from repro.analysis.report import Finding, LintReport
 from repro.analysis.rules import (
@@ -36,8 +36,6 @@ from repro.analysis.rules import (
 )
 
 __all__ = [
-    "Baseline",
-    "BaselineError",
     "DOCSTRING_TARGETS",
     "Finding",
     "LintContext",

@@ -1,12 +1,11 @@
-"""The lint engine: file discovery, parsing, rule dispatch, baseline.
+"""The lint engine: file discovery, parsing, rule dispatch.
 
-:func:`run_lint` is the one entry point behind both front doors (the
-``repro lint`` CLI subcommand and ``tools/lint.py`` in CI): it collects
-``.py`` files from the given paths in sorted order, parses them once,
-builds the shared :class:`~repro.analysis.callgraph.CallGraph`, runs
-every requested rule from the :data:`~repro.analysis.rules.RULES`
-registry, subtracts the baseline, and returns a
-:class:`~repro.analysis.report.LintReport`.
+:func:`run_lint` is the one entry point behind the ``repro lint`` CLI
+subcommand: it collects ``.py`` files from the given paths in sorted
+order, parses them once, builds the shared
+:class:`~repro.analysis.callgraph.CallGraph`, runs every requested rule
+from the :data:`~repro.analysis.rules.RULES` registry, and returns a
+:class:`~repro.analysis.report.LintReport` of every finding.
 
 The engine is itself bound by the contracts it checks: discovery order
 is sorted, findings are sorted, and nothing reads clocks, environment
@@ -20,7 +19,6 @@ import ast
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.callgraph import (
     CallGraph,
     ModuleInfo,
@@ -93,7 +91,6 @@ def _discover(paths: Sequence[Union[str, Path]],
 def run_lint(
     paths: Sequence[Union[str, Path]],
     root: Optional[Union[str, Path]] = None,
-    baseline: Optional[Union[str, Path, Baseline]] = None,
     rules: Optional[Sequence[str]] = None,
     options: Optional[Dict[str, Any]] = None,
 ) -> LintReport:
@@ -105,12 +102,8 @@ def run_lint(
         Files and/or directories to analyze (directories recurse over
         ``*.py`` in sorted order).
     root:
-        Directory findings' paths are reported relative to (defaults
-        to the current working directory); baseline keys are anchored
-        here, so CI and local runs agree.
-    baseline:
-        A :class:`~repro.analysis.baseline.Baseline`, or the path of a
-        baseline file, or ``None`` for no exceptions.
+        Directory findings' paths (and so their keys) are reported
+        relative to; defaults to the current working directory.
     rules:
         Rule names to run (default: every registered rule).  Unknown
         names raise :class:`LintError`.
@@ -120,8 +113,7 @@ def run_lint(
     Returns
     -------
     LintReport
-        Sorted findings (baseline already applied), the suppressed
-        findings, and run metadata.
+        Sorted findings and run metadata.
 
     Raises
     ------
@@ -138,10 +130,6 @@ def run_lint(
             "unknown rule(s): " + ", ".join(sorted(unknown))
             + " (known: " + ", ".join(sorted(RULES)) + ")"
         )
-    if isinstance(baseline, (str, Path)):
-        baseline = Baseline.load(str(baseline))
-    elif baseline is None:
-        baseline = Baseline()
 
     discovered = _discover(paths, root_path)
     parsed: List[Tuple[str, ast.Module]] = []
@@ -163,11 +151,8 @@ def run_lint(
     findings: List[Finding] = []
     for name in selected:
         findings.extend(RULES[name].check(context))
-    surviving, suppressed, stale = baseline.apply(sort_findings(findings))
     return LintReport(
-        findings=surviving,
-        suppressed=suppressed,
+        findings=sort_findings(findings),
         files=[rel for rel, _ in discovered],
         rules=list(selected),
-        unused_baseline=stale,
     )

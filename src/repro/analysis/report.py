@@ -2,16 +2,13 @@
 
 A :class:`Finding` is one rule violation anchored to a file, line and
 symbol; a :class:`LintReport` is the outcome of one
-:func:`~repro.analysis.engine.run_lint` call -- the surviving findings,
-the baseline-suppressed count, and enough metadata (files scanned,
-rules run) to render the human text output or the machine-readable JSON
-artifact CI uploads.
+:func:`~repro.analysis.engine.run_lint` call -- every finding plus
+enough metadata (files scanned, rules run) to render the human text
+output or the machine-readable JSON artifact CI uploads.
 
-Findings carry a stable :attr:`~Finding.key` --
-``rule:path:symbol`` -- which is what baseline entries match against
-(see :mod:`repro.analysis.baseline`): keys survive unrelated line-number
-churn, so a reviewed exception stays suppressed until the flagged code
-itself changes.
+Findings carry a stable :attr:`~Finding.key` -- ``rule:path:symbol``
+-- that survives unrelated line-number churn, so two reports of the
+same tree name the same violation the same way.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ class Finding:
     symbol:
         The qualified name the finding is about (function, class,
         exported name, or a ``sink<-source`` pair for taint paths).
-        Part of the stable baseline key, so it must not contain line
+        Part of the stable :attr:`key`, so it must not contain line
         numbers.
     message:
         Human-readable, single-line description.
@@ -55,7 +52,7 @@ class Finding:
 
     @property
     def key(self) -> str:
-        """The stable baseline-matching key: ``rule:path:symbol``."""
+        """The finding's stable identity: ``rule:path:symbol``."""
         return f"{self.rule}:{self.path}:{self.symbol}"
 
     def render(self) -> str:
@@ -63,7 +60,7 @@ class Finding:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form (includes the baseline key)."""
+        """JSON-serializable form (includes the stable key)."""
         return {
             "rule": self.rule,
             "path": self.path,
@@ -81,28 +78,20 @@ class LintReport:
     Attributes
     ----------
     findings:
-        Violations that survived the baseline, sorted by
-        ``(path, line, rule, symbol)``.
-    suppressed:
-        Findings matched (and silenced) by baseline entries.
+        Every violation, sorted by ``(path, line, rule, symbol)``.
     files:
         Repo-relative paths of every file analyzed.
     rules:
         Names of the rules that ran.
-    unused_baseline:
-        Baseline entries that matched no finding -- stale exceptions
-        that should be deleted from the baseline file.
     """
 
     findings: List[Finding] = field(default_factory=list)
-    suppressed: List[Finding] = field(default_factory=list)
     files: List[str] = field(default_factory=list)
     rules: List[str] = field(default_factory=list)
-    unused_baseline: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        """Whether the run is clean (no surviving findings)."""
+        """Whether the run is clean (no findings)."""
         return not self.findings
 
     def render_lines(self) -> List[str]:
@@ -110,14 +99,9 @@ class LintReport:
         lines = [finding.render() for finding in self.findings]
         if self.findings:
             lines.append("")
-        summary = (f"{len(self.findings)} finding(s), "
-                   f"{len(self.suppressed)} suppressed by baseline "
-                   f"({len(self.files)} files, "
-                   f"{len(self.rules)} rules)")
-        lines.append(summary)
-        for entry in self.unused_baseline:
-            lines.append(f"warning: stale baseline entry (matched "
-                         f"nothing): {entry}")
+        lines.append(f"{len(self.findings)} finding(s) "
+                     f"({len(self.files)} files, "
+                     f"{len(self.rules)} rules)")
         return lines
 
     def to_json_dict(self) -> Dict[str, Any]:
@@ -128,8 +112,6 @@ class LintReport:
             "rules": list(self.rules),
             "files": list(self.files),
             "findings": [f.to_dict() for f in self.findings],
-            "suppressed": [f.to_dict() for f in self.suppressed],
-            "unused_baseline": list(self.unused_baseline),
         }
 
 

@@ -34,9 +34,9 @@ reproduction's core contracts:
     exist and each public module-level symbol must be exported or
     underscore-private.
 ``docstrings``
-    The documentation guarantee migrated from ``tools/lint_docs.py``:
-    modules, public classes and public functions in the guaranteed
-    packages (:data:`DOCSTRING_TARGETS`) carry docstrings.
+    The public-API documentation guarantee: modules, public classes
+    and public functions in the guaranteed packages
+    (:data:`DOCSTRING_TARGETS`) carry docstrings.
 ``supervision-exceptions``
     The fault-tolerance layer (:data:`SUPERVISION_MODULES`) may not use
     bare ``except`` or blanket ``except Exception`` / ``BaseException``
@@ -631,11 +631,10 @@ def _check_exports(ctx) -> List[Finding]:
 
 
 # ----------------------------------------------------------------------
-# Rule: docstrings (migrated from tools/lint_docs.py)
+# Rule: docstrings
 # ----------------------------------------------------------------------
 
 #: The packages whose public APIs the documentation pass guarantees.
-#: ``tools/lint_docs.py`` and the CI step report this same list.
 DOCSTRING_TARGETS: Tuple[str, ...] = (
     "src/repro/explore",
     "src/repro/api",

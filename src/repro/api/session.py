@@ -46,7 +46,7 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Union)
 
 from repro import obs
-from repro.api.pool import WorkerPool, resolve_workers
+from repro.api.pool import WorkerPool
 from repro.api.results import RunResult
 from repro.api.runstore import RunStore
 from repro.api.spec import ExperimentSpec, SpecError
@@ -773,13 +773,11 @@ class Session:
                 name, params["instructions"], params["trace_seed"]
             )
             cases.append(ValidationCase(profile=profile, trace=trace))
-        workers = resolve_workers(self.workers)
         campaign = ValidationCampaign(
             cases,
             configs,
             engine=self.engine,
-            model_workers=workers,
-            sim_workers=workers,
+            sim_workers=self.workers,
             pool=self.pool,
             train_fraction=params["train_fraction"],
             seed=params["seed"],

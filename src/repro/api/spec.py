@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import numbers
+from collections import Counter
 from typing import Any, Dict, IO, List, Mapping, Optional, Union
 
 from repro.profiler.serialization import canonical_fingerprint
@@ -195,6 +196,14 @@ def _check_kind_semantics(kind: str, params: Dict[str, Any]) -> None:
     if kind == "validate":
         if not 0.0 <= params["train_fraction"] < 1.0:
             raise SpecError("--train-fraction must be in [0, 1)")
+    if kind in ("profile", "validate"):
+        # Results are keyed by workload name, so a repeat would collide.
+        counts = Counter(params["workloads"] or ())
+        duplicates = sorted(name for name, n in counts.items() if n > 1)
+        if duplicates:
+            raise SpecError(
+                "duplicate workload name(s): " + ", ".join(duplicates)
+            )
     if kind == "profile":
         if params["output"] is not None and len(params["workloads"]) > 1:
             raise SpecError(

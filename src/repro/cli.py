@@ -34,7 +34,7 @@ Examples::
     python -m repro.cli serve --port 8765 --workers 4 --runs .run-store
     python -m repro.cli request sweep.json --port 8765 --stream
     python -m repro.cli request --stats --port 8765
-    python -m repro.cli lint src/repro --baseline tools/lint_baseline.toml
+    python -m repro.cli lint --json lint-report.json
 """
 
 from __future__ import annotations
@@ -110,31 +110,25 @@ def cmd_workloads(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    duplicates = _duplicate_names(args.workloads)
-    if duplicates:
-        return _error("duplicate workload name(s): "
-                      + ", ".join(duplicates)
-                      + " (profiles are keyed by workload name; "
-                      "duplicates would silently collide)")
     if args.output is None and args.store is None:
         return _error("need -o/--output and/or --store")
-    if args.output is not None and len(args.workloads) > 1:
-        return _error("-o/--output profiles exactly one workload; use "
-                      "--store for batches")
-    spec = ExperimentSpec(
-        "profile",
-        workloads=list(args.workloads),
-        output=args.output,
-        store=args.store,
-        instructions=args.instructions,
-        micro_trace=args.micro_trace,
-        window=args.window,
-        seed=args.seed,
-        reuse_sample_rate=args.reuse_sample_rate,
-        reuse_seed=args.reuse_seed,
-    )
-    with Session() as session:
-        result = session.run(spec)
+    try:
+        spec = ExperimentSpec(
+            "profile",
+            workloads=list(args.workloads),
+            output=args.output,
+            store=args.store,
+            instructions=args.instructions,
+            micro_trace=args.micro_trace,
+            window=args.window,
+            seed=args.seed,
+            reuse_sample_rate=args.reuse_sample_rate,
+            reuse_seed=args.reuse_seed,
+        )
+        with Session() as session:
+            result = session.run(spec)
+    except SpecError as exc:
+        return _error(str(exc))
     for entry in result.data["profiles"]:
         destinations = [d for d in (
             entry["output"],
@@ -208,11 +202,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         f"{key}={value:.3f}" for key, value in result.cpi_stack().items()
     ))
     return 0
-
-
-def _duplicate_names(names: List[str]) -> List[str]:
-    """Names appearing more than once (results are keyed on them)."""
-    return sorted({name for name in names if names.count(name) > 1})
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -306,10 +295,6 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    duplicates = _duplicate_names(args.workloads)
-    if duplicates:
-        return _error("duplicate workload name(s): "
-                      + ", ".join(duplicates))
     try:
         spec = ExperimentSpec(
             "validate",
@@ -636,15 +621,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_lint(args: argparse.Namespace) -> int:
     # Imported here so the analysis package stays off the hot path of
     # every experiment subcommand.
-    from repro.analysis import BaselineError, LintError, run_lint
+    from repro.analysis import LintError, run_lint
 
     try:
-        report = run_lint(
-            args.paths or ["src/repro"],
-            baseline=args.baseline,
-            rules=args.rules or None,
-        )
-    except (LintError, BaselineError, OSError) as exc:
+        report = run_lint(args.paths or ["src/repro"],
+                          rules=args.rules or None)
+    except (LintError, OSError) as exc:
         return _error(str(exc))
     if args.json:
         with open(args.json, "w") as handle:
@@ -934,9 +916,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("paths", nargs="*", metavar="PATH",
                      help="files/directories to analyze (default: "
                           "src/repro)")
-    sub.add_argument("--baseline", default=None, metavar="FILE.toml",
-                     help="baseline file of reviewed, accepted finding "
-                          "keys (default: none)")
     sub.add_argument("--rules", action="append", default=None,
                      metavar="RULE",
                      help="run only this rule (repeatable; default: "

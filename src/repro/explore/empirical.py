@@ -14,7 +14,7 @@ mechanistic model unless trained on a dense sample of the same space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -104,48 +104,6 @@ class EmpiricalModel:
         z = (x - self._mean) / self._std
         pairs = np.outer(z, z)[np.triu_indices(len(z))]
         return np.concatenate([[1.0], z, pairs])
-
-    def fit_sweep(
-        self,
-        profiles: Sequence[ApplicationProfile],
-        configs: Sequence[MachineConfig],
-        engine=None,
-        target: Optional[Callable[["object"], float]] = None,
-    ) -> "EmpiricalModel":
-        """Fit on a (profiles x configs) grid evaluated by the engine.
-
-        The thesis trains its empirical baseline on simulated samples;
-        this helper generates the training targets from the mechanistic
-        model instead, streaming the grid through a
-        :class:`~repro.explore.engine.SweepEngine` so large training
-        sets benefit from its batching, workers and profile caches.
-
-        Parameters
-        ----------
-        profiles / configs:
-            The training grid.
-        engine:
-            Optional sweep engine; a serial default is built when
-            omitted.
-        target:
-            Maps a :class:`~repro.explore.dse.DesignPoint` to the
-            regression target; defaults to CPI.
-
-        Returns
-        -------
-        EmpiricalModel
-            ``self``, fitted.
-        """
-        from repro.explore.engine import SweepEngine
-
-        engine = engine if engine is not None else SweepEngine(workers=1)
-        metric = target if target is not None else (lambda p: p.cpi)
-        by_name = {profile.name: profile for profile in profiles}
-        samples = [
-            (by_name[point.workload], point.config, metric(point))
-            for point in engine.iter_sweep(profiles, configs)
-        ]
-        return self.fit(samples)
 
     def fit(
         self,

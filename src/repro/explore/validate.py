@@ -552,7 +552,9 @@ class ValidationCampaign:
     model_workers / sim_workers:
         Worker processes for the model and simulator sides.
         ``sim_workers`` defaults to ``model_workers`` -- simulation is
-        the slow side, so that is where parallelism pays.
+        the slow side, so that is where parallelism pays.  An explicit
+        ``engine`` runs at its own worker count instead of
+        ``model_workers``; the report records the counts that ran.
     pool:
         Optional externally-owned :class:`~repro.api.pool.WorkerPool`
         shared by both sides: the default engine and the simulation
@@ -620,10 +622,6 @@ class ValidationCampaign:
             raise ValueError("train_fraction must be in [0, 1)")
         self.train_fraction = train_fraction
         self.seed = seed
-        self.model_workers = model_workers
-        self.sim_workers = (
-            sim_workers if sim_workers is not None else model_workers
-        )
         self.progress = progress
         model_progress = None
         sim_progress = None
@@ -636,7 +634,9 @@ class ValidationCampaign:
             progress=model_progress,
         )
         self.simulation = SimulationSweep(
-            workers=self.sim_workers, batch_size=batch_size,
+            workers=sim_workers if sim_workers is not None
+            else model_workers,
+            batch_size=batch_size,
             pool=pool, progress=sim_progress,
         )
 
@@ -816,6 +816,8 @@ class ValidationCampaign:
             Per-workload errors, stack errors, Pareto metrics and the
             empirical-baseline comparison.
         """
+        from repro.api.pool import resolve_workers
+
         profiles = [case.profile for case in self.cases]
         traces = [case.trace for case in self.cases]
         n = len(self.configs)
@@ -831,8 +833,8 @@ class ValidationCampaign:
         report = ValidationReport(
             space_name=self.space_name,
             n_configs=n,
-            model_workers=self.model_workers,
-            sim_workers=self.sim_workers,
+            model_workers=resolve_workers(self.engine.workers),
+            sim_workers=resolve_workers(self.simulation.workers),
             train_fraction=self.train_fraction,
             seed=self.seed,
         )

@@ -1,5 +1,5 @@
 """Static-analysis tests: every rule fires on its fixture, stays quiet
-on compliant code, and the front doors (engine, baseline, CLI) behave.
+on compliant code, and the front doors (engine, CLI) behave.
 
 The fixture packages live in ``tests/fixtures/lint/``: ``badpkg`` is
 deliberately broken (one module per rule) and ``cleanpkg`` honors every
@@ -14,16 +14,12 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import (
-    Baseline,
-    BaselineError,
     DOCSTRING_TARGETS,
     LintError,
     RULES,
     run_lint,
 )
-from repro.analysis.baseline import parse_toml
 from repro.analysis.callgraph import CallGraph, module_name_for
-from repro.analysis.report import Finding
 from repro.analysis.rules import TAINT_SINKS
 from repro.cli import main
 
@@ -270,54 +266,6 @@ class TestAsyncSafety:
         assert report.findings == []
 
 
-class TestBaseline:
-    def test_suppresses_matching_findings(self):
-        baseline = Baseline(["unseeded-rng:badpkg/rng.py:*"])
-        report = lint_bad("unseeded-rng", paths=("badpkg/rng.py",),
-                          baseline=baseline)
-        assert report.findings == []
-        assert len(report.suppressed) == 2
-        assert report.ok
-
-    def test_stale_entries_are_reported(self):
-        baseline = Baseline(["raw-timing:nowhere.py:gone"])
-        report = lint_bad("unseeded-rng", paths=("badpkg/rng.py",),
-                          baseline=baseline)
-        assert report.unused_baseline == ["raw-timing:nowhere.py:gone"]
-        assert any("stale" in line for line in report.render_lines())
-
-    def test_load_round_trip(self, tmp_path):
-        path = tmp_path / "base.toml"
-        path.write_text(
-            "# reviewed exceptions\n"
-            "[baseline]\n"
-            "entries = [\n"
-            '    "unseeded-rng:badpkg/rng.py:random.Random",  # ok\n'
-            "]\n"
-        )
-        baseline = Baseline.load(str(path))
-        assert baseline.entries == [
-            "unseeded-rng:badpkg/rng.py:random.Random"
-        ]
-
-    def test_shipped_baseline_is_empty(self):
-        repo_root = FIXTURES.parents[2]
-        baseline = Baseline.load(
-            str(repo_root / "tools" / "lint_baseline.toml"))
-        assert len(baseline) == 0
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(BaselineError):
-            parse_toml("entries no equals sign")
-        with pytest.raises(BaselineError):
-            parse_toml('[baseline]\nentries = [ "unterminated ]')
-
-    def test_matches_uses_fnmatch_keys(self):
-        finding = Finding("raw-timing", "src/x.py", 7, "stamp", "...")
-        assert Baseline(["raw-timing:src/*.py:stamp"]).matches(finding)
-        assert not Baseline(["exports:src/x.py:stamp"]).matches(finding)
-
-
 class TestEngine:
     def test_unknown_rule_raises(self):
         with pytest.raises(LintError):
@@ -369,13 +317,32 @@ class TestLintCommand:
         assert "[raw-timing]" not in out
 
     def test_baseline_flag(self, tmp_path, capsys):
+        # There is no suppression list: neither the CLI nor run_lint
+        # takes one.
         base = tmp_path / "base.toml"
-        # CLI paths are cwd-relative, so match any prefix of badpkg/.
         base.write_text('[baseline]\nentries = ["*:*badpkg/*:*"]\n')
-        assert main(["lint", str(FIXTURES / "badpkg"),
-                     "--baseline", str(base)]) == 0
-        out = capsys.readouterr().out
-        assert "suppressed by baseline" in out
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", str(FIXTURES / "badpkg"),
+                  "--baseline", str(base)])
+        assert exc.value.code == 2
+        with pytest.raises(TypeError):
+            run_lint(["badpkg"], root=FIXTURES, baseline=str(base))
+
+    def test_ci_command_from_repo_root(self, tmp_path, monkeypatch,
+                                       capsys):
+        # The static-analysis CI step: every rule over src/repro.
+        repo_root = FIXTURES.parents[2]
+        monkeypatch.chdir(repo_root)
+        out_path = tmp_path / "lint-report.json"
+        assert main(["lint", "--json", str(out_path)]) == 0
+        data = json.loads(out_path.read_text())
+        assert data["ok"] is True
+        assert data["rules"] == sorted(RULES)
+        assert data["files"] == sorted(
+            path.relative_to(repo_root).as_posix()
+            for path in (repo_root / "src" / "repro").rglob("*.py"))
+        assert data["findings"] == []
+        assert "0 finding(s)" in capsys.readouterr().out
 
     def test_unknown_rule_is_a_usage_error(self, capsys):
         assert main(["lint", str(FIXTURES / "badpkg"),

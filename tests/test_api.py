@@ -88,6 +88,14 @@ class TestExperimentSpec:
         with pytest.raises(SpecError, match="profiles.*workloads"):
             ExperimentSpec("search")
 
+    @pytest.mark.parametrize("kind", ["profile", "validate"])
+    def test_duplicate_workloads_rejected(self, kind):
+        # Results are keyed by workload name: a repeat is a client
+        # error before anything runs.
+        with pytest.raises(SpecError,
+                           match=r"duplicate workload name\(s\): gcc$"):
+            ExperimentSpec(kind, workloads=["gcc", "mcf", "gcc"])
+
     def test_ranges_validated(self):
         with pytest.raises(SpecError, match="--limit"):
             ExperimentSpec("sweep", workloads=["gcc"], limit=-1)

@@ -401,6 +401,16 @@ class TestRunCommand:
         assert main(["run", path]) == 2
         assert "unknown experiment kind" in capsys.readouterr().err
 
+    def test_run_rejects_duplicate_workloads(self, tmp_path, capsys):
+        path = str(tmp_path / "profile.json")
+        with open(path, "w") as handle:
+            json.dump({"kind": "profile",
+                       "params": {"workloads": ["gcc", "gcc"],
+                                  "instructions": 2000}}, handle)
+        assert main(["run", path]) == 2
+        assert "duplicate workload name(s): gcc" in \
+            capsys.readouterr().err
+
     def test_run_rejects_missing_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 2
         assert "error:" in capsys.readouterr().err

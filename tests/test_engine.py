@@ -8,7 +8,6 @@ from repro.api.pool import grid_tasks
 from repro.core import AnalyticalModel, design_space, nehalem
 from repro.core.interval import ModelCache
 from repro.explore.dvfs import explore_dvfs
-from repro.explore.empirical import EmpiricalModel
 from repro.explore.engine import SweepEngine
 from repro.explore.pareto import StreamingParetoFront, pareto_front
 from repro.profiler import SamplingConfig, profile_application
@@ -224,18 +223,6 @@ class TestEngineConsumers:
             assert a.seconds == b.seconds
             assert a.power_watts == b.power_watts
 
-    def test_empirical_fit_sweep(self, gcc_profile, gamess_profile):
-        configs = design_space({"dispatch_width": (2, 4, 6),
-                                "rob_size": (64, 256)})
-        model = EmpiricalModel().fit_sweep(
-            [gcc_profile, gamess_profile], configs
-        )
-        prediction = model.predict(gcc_profile, configs[0])
-        assert prediction == pytest.approx(
-            AnalyticalModel().predict(gcc_profile, configs[0]).cpi,
-            rel=0.5, abs=0.5,
-        )
-
     def test_sweep_engine_default_is_serial(self, gcc_profile,
                                             pool_starts):
         # The default engine must not start worker processes, even on
@@ -244,17 +231,6 @@ class TestEngineConsumers:
                                 "rob_size": (64, 256)})
         results = SweepEngine().sweep([gcc_profile], configs)
         assert len(results["gcc"]) == len(configs)
-        assert pool_starts == []
-
-    def test_empirical_fit_sweep_default_is_serial(self, gcc_profile,
-                                                   gamess_profile,
-                                                   pool_starts):
-        # The default engine must not start worker processes, even on
-        # a multi-core host.
-        configs = design_space({"dispatch_width": (2, 4, 6),
-                                "rob_size": (64, 256)})
-        EmpiricalModel().fit_sweep([gcc_profile, gamess_profile],
-                                   configs)
         assert pool_starts == []
 
 

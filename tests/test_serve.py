@@ -605,6 +605,18 @@ class TestErrors:
         assert stats["server"]["streams"] == 0
         assert get_json(HOST, serve.port, "/health")["status"] == "ok"
 
+    def test_duplicate_workloads_are_a_400(self, serve):
+        spec = {"kind": "validate",
+                "params": {"workloads": ["gcc", "gcc"], "limit": 2,
+                           "instructions": 3000}}
+        with pytest.raises(ServeError) as err:
+            request_run(HOST, serve.port, spec, timeout=60)
+        assert err.value.status == 400
+        assert "duplicate workload name(s): gcc" in str(err.value)
+        stats = get_json(HOST, serve.port, "/stats")
+        assert stats["server"]["errors"] == 1
+        assert stats["server"]["computations"] == 0
+
     def test_coalesced_failure_is_logged_once(self, caplog):
         # Four requests wait on one failing Session.run: each is
         # answered and counted, the traceback is logged once.

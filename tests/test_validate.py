@@ -6,6 +6,7 @@ import pytest
 
 from equivalence import assert_power_bitwise, assert_simulations_bitwise
 from repro.core.machine import config_from_params, design_space
+from repro.explore.engine import SweepEngine
 from repro.explore.validate import (
     SimulationSweep,
     ValidationCampaign,
@@ -189,6 +190,26 @@ class TestValidationCampaign:
             data.pop("sim_workers")
             reports.append(json.dumps(data, sort_keys=True))
         assert reports[0] == reports[1]
+
+    def test_report_records_worker_counts_that_ran(self, monkeypatch):
+        # On a one-CPU host None and 0 both run one in-process worker,
+        # and an explicit engine runs at its own count.
+        import os
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        configs = design_space(SMALL_AXES)[:2]
+        for workers in (None, 0):
+            data = ValidationCampaign.from_workloads(
+                ["gcc"], configs, instructions=1000,
+                model_workers=workers, train_fraction=0.0,
+            ).run().as_dict()
+            assert (data["model_workers"], data["sim_workers"]) == (1, 1)
+        data = ValidationCampaign.from_workloads(
+            ["gcc"], configs, instructions=1000,
+            engine=SweepEngine(workers=1), model_workers=3,
+            sim_workers=1, train_fraction=0.0,
+        ).run().as_dict()
+        assert (data["model_workers"], data["sim_workers"]) == (1, 1)
 
     def test_duplicate_workloads_rejected(self):
         cases = _small_cases(["gcc"], instructions=1000) * 2
