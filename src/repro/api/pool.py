@@ -182,8 +182,8 @@ class WorkerPool:
         restarts after crashes/timeouts also increment it.
     retries / timeouts / restarts / worker_crashes / give_ups:
         Lifetime supervision accounting as plain ints (always on);
-        :meth:`flush_metrics` publishes the deltas under ``pool.*``
-        metric names.
+        each event also counts as ``pool.<name>`` in the active
+        metrics registry (a no-op while telemetry is off).
 
     Examples
     --------
@@ -213,13 +213,16 @@ class WorkerPool:
         self.restarts = 0
         self.worker_crashes = 0
         self.give_ups = 0
-        self._flushed = {"retries": 0, "timeouts": 0, "restarts": 0,
-                         "worker_crashes": 0, "give_ups": 0}
         self._pool = None
         self._tokens = itertools.count(1)
         self._unavailable = False
         self._spill_dir: Optional[str] = None
         self._spills: dict = {}
+
+    def _count(self, name: str) -> None:
+        """Count one supervision event on its plain int and metric."""
+        setattr(self, name, getattr(self, name) + 1)
+        obs.metrics().inc(f"pool.{name}")
 
     def effective_workers(self) -> int:
         """The worker count after resolving the ``None`` default."""
@@ -397,26 +400,26 @@ class WorkerPool:
                     try:
                         value = handle.get(policy.timeout)
                     except MPTimeoutError:
-                        self.timeouts += 1
+                        self._count("timeouts")
                         attempts[index] += 1
                         if attempts[index] >= policy.max_attempts:
                             self._fail_stage(
                                 f"task {index} timed out "
                                 f"{attempts[index]} time(s)"
                             )
-                        self.retries += 1
+                        self._count("retries")
                         stage_restarts = self._recycle(stage_restarts)
                         resubmit_pending()
                         continue
                     except inject.InjectedWorkerCrash:
-                        self.worker_crashes += 1
+                        self._count("worker_crashes")
                         attempts[index] += 1
                         if attempts[index] >= policy.max_attempts:
                             self._fail_stage(
                                 f"task {index} crashed its worker "
                                 f"{attempts[index]} time(s)"
                             )
-                        self.retries += 1
+                        self._count("retries")
                         stage_restarts = self._recycle(stage_restarts)
                         time.sleep(policy.delay(
                             f"{token}:{index}", attempts[index] - 1
@@ -427,7 +430,7 @@ class WorkerPool:
                         attempts[index] += 1
                         if attempts[index] >= policy.max_attempts:
                             raise
-                        self.retries += 1
+                        self._count("retries")
                         time.sleep(policy.delay(
                             f"{token}:{index}", attempts[index] - 1
                         ))
@@ -460,7 +463,7 @@ class WorkerPool:
             self._fail_stage(
                 f"stage exceeded {self.max_restarts} pool restart(s)"
             )
-        self.restarts += 1
+        self._count("restarts")
         if self._pool is not None:
             self._pool.terminate()
             self._pool.join()
@@ -477,7 +480,7 @@ class WorkerPool:
         yielded by the stream are unaffected -- nothing is lost, the
         remainder just moves in-process.
         """
-        self.give_ups += 1
+        self._count("give_ups")
         self._unavailable = True
         if self._pool is not None:
             self._pool.terminate()
@@ -492,25 +495,6 @@ class WorkerPool:
         -- the opt-back-in after a campaign degraded to in-process.
         """
         self._unavailable = False
-
-    def flush_metrics(self, metrics) -> None:
-        """Publish supervision counters accumulated since the last flush.
-
-        Increments ``pool.retries`` / ``pool.timeouts`` /
-        ``pool.restarts`` / ``pool.worker_crashes`` / ``pool.give_ups``
-        on ``metrics`` by the deltas since the previous flush (repeated
-        flushing never double-counts).  Flushing into a disabled
-        registry is a no-op that keeps the deltas pending.
-        """
-        if not metrics.enabled:
-            return
-        for attr in ("retries", "timeouts", "restarts",
-                     "worker_crashes", "give_ups"):
-            value = getattr(self, attr)
-            delta = value - self._flushed[attr]
-            if delta:
-                metrics.inc(f"pool.{attr}", delta)
-                self._flushed[attr] = value
 
     # ------------------------------------------------------------------
 
@@ -577,12 +561,12 @@ def iter_grid(
     itself.  Otherwise the tasks go through ``pool.imap`` -- only that
     method is used, so any object with a :meth:`WorkerPool.imap`-shaped
     ``imap`` serves -- or, without ``pool``, through a transient
-    :class:`WorkerPool` closed (supervision counters flushed) when the
-    stream ends.  A :class:`WorkerPoolError` raised before or during
-    the stream moves the remaining tasks in-process: results already
-    yielded stay yielded and the rest follow in the same order, so the
-    stream is bitwise identical however it was produced.  ``func``
-    must be a module-level (picklable) callable.
+    :class:`WorkerPool` closed when the stream ends.  A
+    :class:`WorkerPoolError` raised before or during the stream moves
+    the remaining tasks in-process: results already yielded stay
+    yielded and the rest follow in the same order, so the stream is
+    bitwise identical however it was produced.  ``func`` must be a
+    module-level (picklable) callable.
     """
     done = 0
     if workers > 1 and tasks:
@@ -597,7 +581,6 @@ def iter_grid(
             pass  # the pool gave up: the rest runs in-process below
         finally:
             if owned:
-                pool.flush_metrics(obs.metrics())
                 pool.close()
     for task in tasks[done:]:
         yield func(state, task)

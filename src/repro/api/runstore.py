@@ -22,6 +22,7 @@ import threading
 from collections import OrderedDict
 from typing import Optional, Union
 
+from repro import obs
 from repro.api.results import RunResult
 from repro.api.spec import ExperimentSpec, SpecError
 from repro.faults import inject
@@ -57,8 +58,9 @@ class RunStore:
 
     The store keeps lifetime accounting as plain ints -- ``hits`` /
     ``misses`` / ``corrupt`` / ``quarantined`` / ``puts`` /
-    ``evictions`` -- published into a metrics registry via
-    :meth:`flush_metrics`.  Counter and recency updates are guarded by
+    ``evictions`` -- and counts each event, on the same line, as
+    ``run_store.<name>`` in the active metrics registry (a no-op while
+    telemetry is off).  Counter and recency updates are guarded by
     an internal lock so concurrent readers/writers (the ``repro serve``
     thread-pool path) never lose increments; reading the plain ints
     without the lock stays fine for reporting.  A *corrupt* entry (file
@@ -77,8 +79,7 @@ class RunStore:
     served nor evicted.
     """
 
-    #: Plain-int accounting attributes published by
-    #: :meth:`flush_metrics`.
+    #: Plain-int accounting attributes (``GET /stats`` reports them).
     _COUNTER_ATTRS = ("hits", "misses", "corrupt", "quarantined",
                       "puts", "evictions")
 
@@ -94,21 +95,21 @@ class RunStore:
         self.quarantined = 0
         self.puts = 0
         self.evictions = 0
-        self._flushed = {attr: 0 for attr in self._COUNTER_ATTRS}
         self._lock = threading.Lock()
         #: Recency order, least-recent first: fingerprint -> None.
         self._lru: "OrderedDict[str, None]" = OrderedDict()
         self._seed_lru()
 
-    def _count(self, attr: str, value: int = 1) -> int:
-        """Increment one accounting counter under the store lock.
+    def _count(self, attr: str) -> int:
+        """Count one event on its plain int and metric, under the lock.
 
         Returns the post-increment value (``put`` folds it into the
         fault-injection site label, which must be race-free too).
         """
         with self._lock:
-            total = getattr(self, attr) + value
+            total = getattr(self, attr) + 1
             setattr(self, attr, total)
+            obs.metrics().inc(f"run_store.{attr}")
         return total
 
     def _seed_lru(self) -> None:
@@ -247,23 +248,3 @@ class RunStore:
                 pass
             self._count("evictions")
         return key
-
-    def flush_metrics(self, metrics) -> None:
-        """Publish store counters accumulated since the last flush.
-
-        Increments ``run_store.hits`` / ``run_store.misses`` /
-        ``run_store.corrupt`` / ``run_store.quarantined`` /
-        ``run_store.puts`` / ``run_store.evictions`` on ``metrics`` by
-        the deltas since the previous flush (repeated flushing never
-        double-counts).  Flushing into a disabled registry is a no-op
-        that keeps the deltas pending.
-        """
-        if not metrics.enabled:
-            return
-        for attr in self._COUNTER_ATTRS:
-            with self._lock:
-                value = getattr(self, attr)
-                delta = value - self._flushed[attr]
-                self._flushed[attr] = value
-            if delta:
-                metrics.inc(f"run_store.{attr}", delta)

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import json
 import logging
 import threading
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
@@ -225,7 +226,7 @@ class Session:
         )
         # Lazily-profiled workload registry: traces by
         # (name, instructions, trace_seed); profiles by the full
-        # profiling-parameter key; profile files by path.
+        # profiling-parameter key; profile files by content hash.
         self._traces: Dict[tuple, Any] = {}
         self._profiles: Dict[tuple, Any] = {}
         self._file_profiles: Dict[str, Any] = {}
@@ -295,12 +296,22 @@ class Session:
         return self._profiles[key]
 
     def load_profile(self, path: str):
-        """Load a profile file (cached by path for the session)."""
-        from repro.profiler.serialization import load_profile
+        """Load a profile file (cached by content for the session).
 
-        if path not in self._file_profiles:
-            self._file_profiles[path] = load_profile(path)
-        return self._file_profiles[path]
+        The cache key is the SHA-256 of the file's bytes and the
+        profile is parsed from those same bytes, so an overwritten
+        file is read afresh while an unchanged one keeps its object --
+        and with it its StatStack models and warm model-cache entries.
+        """
+        from repro.profiler.serialization import profile_from_dict
+
+        with open(path, "rb") as handle:
+            data = handle.read()
+        digest = hashlib.sha256(data).hexdigest()
+        if digest not in self._file_profiles:
+            self._file_profiles[digest] = profile_from_dict(
+                json.loads(data))
+        return self._file_profiles[digest]
 
     def _registry_profiles(self, params: Mapping[str, Any],
                            names: Sequence[str]) -> List[Any]:
@@ -416,7 +427,6 @@ class Session:
                         if telemetry.metrics.enabled else None)
             with telemetry.span("session.run", kind=spec.kind):
                 result = self._execute(spec, on_point)
-                self._flush_collectors()
             self._attach_telemetry(result, start_events, baseline)
         return result
 
@@ -465,27 +475,6 @@ class Session:
             with obs.span("run_store.put", kind=spec.kind):
                 self.run_store.put(result, key=key)
         return result
-
-    def _flush_collectors(self) -> None:
-        """Publish pending cache/store counters into the active registry.
-
-        Covers every always-on collector the session owns: each model
-        variant's :class:`ModelCache`, the :class:`ProfileStore`, the
-        :class:`RunStore` and the :class:`WorkerPool`'s supervision
-        counters.  A no-op while metrics are disabled (the plain-int
-        counters keep accumulating for a later flush).
-        """
-        metrics = obs.metrics()
-        if not metrics.enabled:
-            return
-        for model in self._models.values():
-            if model.cache is not None:
-                model.cache.flush_metrics(metrics)
-        if self.profile_store is not None:
-            self.profile_store.flush_metrics(metrics)
-        if self.run_store is not None:
-            self.run_store.flush_metrics(metrics)
-        self.pool.flush_metrics(metrics)
 
     def _attach_telemetry(
         self,
@@ -596,8 +585,6 @@ class Session:
                 "output": params["output"],
                 "seconds": round(span.seconds, 6),
             })
-        if store is not None:
-            store.flush_metrics(obs.metrics())
         return {
             "store": params["store"],
             "sampling": {

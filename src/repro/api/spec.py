@@ -29,8 +29,10 @@ from __future__ import annotations
 import json
 import numbers
 from collections import Counter
-from typing import Any, Dict, IO, List, Mapping, Optional, Union
+from typing import (Any, Callable, Dict, IO, Mapping, Optional, Tuple,
+                    Union)
 
+from repro.core.interval import MLP_MODELS
 from repro.profiler.serialization import canonical_fingerprint
 
 __all__ = ["ExperimentSpec", "SpecError", "EXPERIMENT_KINDS",
@@ -130,14 +132,49 @@ _SCHEMAS: Dict[str, Dict[str, Any]] = {
     },
 }
 
-#: Parameters that take a number, or ``None`` where that is the default.
-#: Checked, never coerced, so a valid spec keeps its fingerprint.
-_NUMERIC = frozenset({
-    "instructions", "micro_trace", "window", "seed", "trace_seed",
-    "reuse_sample_rate", "reuse_seed", "width", "rob", "llc_mb",
-    "frequency", "limit", "power_cap", "budget", "population",
-    "batch_size", "train_fraction",
-})
+
+def _is_number(value: Any) -> bool:
+    """Whether ``value`` is a real number (a bool is not)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _list_of(check: Callable[[Any], bool]) -> Callable[[Any], bool]:
+    """A check passing lists (or tuples) whose items all pass ``check``."""
+    return lambda value: (isinstance(value, (list, tuple))
+                          and all(check(item) for item in value))
+
+
+#: Parameter types: what a value must be, and the check it must pass.
+_TYPES: Dict[str, Tuple[str, Callable[[Any], bool]]] = {
+    "int": ("a number (an integer)",
+            lambda value: (_is_number(value)
+                           and isinstance(value, numbers.Integral))),
+    "real": ("a number", _is_number),
+    "str": ("a string", lambda value: isinstance(value, str)),
+    "bool": ("true or false", lambda value: isinstance(value, bool)),
+    "names": ("a list of strings",
+              _list_of(lambda item: isinstance(item, str))),
+    "numbers": ("a list of numbers", _list_of(_is_number)),
+}
+
+#: The type of every parameter.  ``None`` passes only where it is the
+#: default.  Scalars are checked, never coerced, so a valid spec keeps
+#: its fingerprint; lists are normalized to lists (a lone name to a
+#: one-name list, numbers to floats).
+_PARAM_TYPES: Dict[str, str] = {
+    **dict.fromkeys(("instructions", "micro_trace", "window", "seed",
+                     "trace_seed", "reuse_seed", "width", "rob",
+                     "llc_mb", "limit", "budget", "population",
+                     "batch_size"), "int"),
+    **dict.fromkeys(("reuse_sample_rate", "frequency", "power_cap",
+                     "train_fraction"), "real"),
+    **dict.fromkeys(("output", "store", "profile", "workload", "space",
+                     "objective", "optimizer", "mlp_model"), "str"),
+    "prefetch": "bool",
+    "workloads": "names",
+    "profiles": "names",
+    "frequencies": "numbers",
+}
 
 #: The experiment kinds a :class:`~repro.api.session.Session` can run.
 EXPERIMENT_KINDS = tuple(sorted(_SCHEMAS))
@@ -146,8 +183,30 @@ EXPERIMENT_KINDS = tuple(sorted(_SCHEMAS))
 SPEC_FORMAT_VERSION = 1
 
 
+def _checked(kind: str, key: str, value: Any) -> Any:
+    """``value`` in its normal form once it passes ``key``'s type."""
+    type_name = _PARAM_TYPES[key]
+    if type_name == "names" and isinstance(value, str):
+        value = [value]
+    what, check = _TYPES[type_name]
+    if not check(value):
+        raise SpecError(
+            f"{kind} spec parameter {key!r} must be {what}, got {value!r}"
+        )
+    if type_name == "names":
+        return list(value)
+    if type_name == "numbers":
+        return [float(item) for item in value]
+    return value
+
+
 def _check_kind_semantics(kind: str, params: Dict[str, Any]) -> None:
     """Kind-specific consistency checks beyond the schema shape."""
+    if kind == "predict" and params["mlp_model"] not in MLP_MODELS:
+        raise SpecError(
+            f"unknown mlp_model {params['mlp_model']!r} "
+            f"(choose from {list(MLP_MODELS)})"
+        )
     if kind in ("predict", "dvfs"):
         given = [key for key in ("profile", "workload")
                  if params[key] is not None]
@@ -212,18 +271,6 @@ def _check_kind_semantics(kind: str, params: Dict[str, Any]) -> None:
             )
 
 
-def _name_list(kind: str, key: str, value: Any) -> List[str]:
-    """Normalize a workload/profile list parameter (str -> [str])."""
-    if isinstance(value, str):
-        value = [value]
-    if (not isinstance(value, (list, tuple))
-            or not all(isinstance(item, str) for item in value)):
-        raise SpecError(
-            f"{kind} spec parameter {key!r} must be a list of strings"
-        )
-    return list(value)
-
-
 class ExperimentSpec:
     """One declarative experiment: a kind plus normalized parameters.
 
@@ -269,34 +316,12 @@ class ExperimentSpec:
             )
         full: Dict[str, Any] = {}
         for key, default in schema.items():
-            if key in merged:
-                full[key] = merged[key]
-            elif default is _REQUIRED:
+            if default is _REQUIRED and merged.get(key) is None:
                 raise SpecError(f"{kind} spec requires {key!r}")
-            else:
-                full[key] = default
-        for key in ("workloads", "profiles"):
-            if key in full and full[key] is not None:
-                full[key] = _name_list(kind, key, full[key])
-        for key, value in full.items():
-            if key not in _NUMERIC or (value is None
-                                       and schema[key] is None):
-                continue
-            if isinstance(value, bool) or not isinstance(value,
-                                                         numbers.Real):
-                raise SpecError(
-                    f"{kind} spec parameter {key!r} must be a number, "
-                    f"got {value!r}"
-                )
-        if kind == "dvfs" and full["frequencies"] is not None:
-            try:
-                full["frequencies"] = [
-                    float(f) for f in full["frequencies"]
-                ]
-            except (TypeError, ValueError):
-                raise SpecError(
-                    "frequencies must be a list of numbers (GHz)"
-                ) from None
+            value = merged.get(key, default)
+            if value is not None or default is not None:
+                value = _checked(kind, key, value)
+            full[key] = value
         _check_kind_semantics(kind, full)
         self.kind = kind
         self.params = full

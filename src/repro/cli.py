@@ -53,6 +53,7 @@ from repro.api import (
     SpecError,
     config_from_overrides,
 )
+from repro.core.interval import MLP_MODELS
 from repro.explore.search import OBJECTIVES, OPTIMIZERS
 from repro.simulator import simulate
 from repro.workloads import generate_trace, make_workload, workload_names
@@ -146,18 +147,21 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    spec = ExperimentSpec(
-        "predict",
-        profile=args.profile,
-        mlp_model=args.mlp_model,
-        width=args.width,
-        rob=args.rob,
-        llc_mb=args.llc_mb,
-        frequency=args.frequency,
-        prefetch=args.prefetch,
-    )
-    with Session() as session:
-        data = session.run(spec).data
+    try:
+        spec = ExperimentSpec(
+            "predict",
+            profile=args.profile,
+            mlp_model=args.mlp_model,
+            width=args.width,
+            rob=args.rob,
+            llc_mb=args.llc_mb,
+            frequency=args.frequency,
+            prefetch=args.prefetch,
+        )
+        with Session() as session:
+            data = session.run(spec).data
+    except (SpecError, OSError) as exc:
+        return _error(str(exc))
     print(f"workload:  {data['workload']}")
     print(f"config:    {data['config']}")
     print(f"CPI:       {data['cpi']:.3f}   "
@@ -215,7 +219,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
         with Session(workers=args.workers) as session:
             data = session.run(spec).data
-    except SpecError as exc:
+    except (SpecError, OSError) as exc:
         return _error(str(exc))
     for w in data["workloads"]:
         print(f"{w['workload']}: {len(w['points'])} designs evaluated; "
@@ -255,7 +259,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         )
         with Session(workers=args.workers) as session:
             data = session.run(spec).data
-    except SpecError as exc:
+    except (SpecError, OSError) as exc:
         return _error(str(exc))
     trajectory = data["trajectory"]
     evaluations = trajectory["evaluations"]
@@ -310,13 +314,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
         )
         with Session(workers=args.workers) as session:
             data = session.run(spec).data
-    except SpecError as exc:
+    except (SpecError, OSError) as exc:
         return _error(str(exc))
-    # The payload is ValidationReport.as_dict(); re-render it through
-    # the one canonical formatter instead of duplicating it here.
-    from repro.explore.validate import ValidationReport
+    # The payload is ValidationReport.as_dict(); render it through the
+    # one canonical formatter instead of duplicating it here.
+    from repro.explore.validate import report_lines
 
-    print("\n".join(ValidationReport.from_dict(data).summary_lines()))
+    print("\n".join(report_lines(data)))
     if args.json:
         with open(args.json, "w") as handle:
             json.dump(data, handle, indent=2)
@@ -347,7 +351,7 @@ def cmd_dvfs(args: argparse.Namespace) -> int:
         )
         with Session(workers=args.workers) as session:
             data = session.run(spec).data
-    except SpecError as exc:
+    except (SpecError, OSError) as exc:
         return _error(str(exc))
     print(f"workload: {data['workload']}   base: {data['base_config']}")
     for index, p in enumerate(data["points"]):
@@ -683,7 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser("predict",
                                 help="evaluate the analytical model")
     sub.add_argument("profile", help="profile file from 'profile'")
-    sub.add_argument("--mlp-model", choices=("stride", "cold", "none"),
+    sub.add_argument("--mlp-model", choices=MLP_MODELS,
                      default="stride")
     _add_config_arguments(sub)
     sub.set_defaults(func=cmd_predict)

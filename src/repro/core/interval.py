@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro import obs
 from repro.core.machine import MachineConfig
 from repro.frontend.entropy import EntropyMissRateModel
 from repro.profiler.profile import ApplicationProfile, MicroTraceProfile
@@ -31,6 +32,9 @@ from repro.profiler.profile import ApplicationProfile, MicroTraceProfile
 STACK_COMPONENTS: Tuple[str, ...] = (
     "base", "branch", "icache", "llc_chain", "dram"
 )
+
+#: The MLP estimators an :class:`IntervalModel` can use.
+MLP_MODELS: Tuple[str, ...] = ("stride", "cold", "none")
 
 
 class ModelCache:
@@ -59,14 +63,13 @@ class ModelCache:
     in another process, so a model shipped to a worker arrives with a
     fresh cache of its own.
 
-    Accounting: :attr:`hits` / :attr:`misses` count every :meth:`get`
-    unconditionally (two plain integer adds -- results and wall-time
-    are unaffected), and :meth:`flush_metrics` publishes the deltas
-    accumulated since the previous flush into a
-    :class:`~repro.obs.metrics.MetricsRegistry` under
-    ``model_cache.hits`` / ``model_cache.misses``.  Engines flush at
-    batch boundaries, so worker-side caches ship their counts back
-    piggybacked on result messages (see :mod:`repro.api.pool`).
+    Accounting: every :meth:`get` adds one to :attr:`hits` or
+    :attr:`misses` (lifetime plain ints) and, on the same line, to
+    ``model_cache.hits`` / ``model_cache.misses`` in the active
+    metrics registry (a no-op while telemetry is off) -- results and
+    wall-time are unaffected.  A worker-side cache counts into its
+    task's registry, whose snapshot rides back to the parent
+    piggybacked on the result message (see :mod:`repro.api.pool`).
     """
 
     def __init__(self) -> None:
@@ -76,8 +79,6 @@ class ModelCache:
         self.hits = 0
         #: Lifetime memo lookups that had to compute.
         self.misses = 0
-        self._flushed_hits = 0
-        self._flushed_misses = 0
 
     def token(self, profile: "ApplicationProfile") -> int:
         """A key component identifying ``profile`` for this cache's life."""
@@ -92,10 +93,12 @@ class ModelCache:
             value = self._memo[key]
         except KeyError:
             self.misses += 1
+            obs.metrics().inc("model_cache.misses")
             value = compute()
             self._memo[key] = value
             return value
         self.hits += 1
+        obs.metrics().inc("model_cache.hits")
         return value
 
     def __reduce__(self):
@@ -104,26 +107,6 @@ class ModelCache:
 
     def __len__(self) -> int:
         return len(self._memo)
-
-    def flush_metrics(self, metrics) -> None:
-        """Publish hit/miss counts accumulated since the last flush.
-
-        Increments ``model_cache.hits`` / ``model_cache.misses`` on
-        ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry` or
-        the no-op default) by the deltas since the previous flush, so
-        repeated flushing never double-counts.  Flushing into a
-        disabled registry is a no-op that keeps the deltas pending.
-        """
-        if not metrics.enabled:
-            return
-        delta_hits = self.hits - self._flushed_hits
-        delta_misses = self.misses - self._flushed_misses
-        if delta_hits:
-            metrics.inc("model_cache.hits", delta_hits)
-            self._flushed_hits = self.hits
-        if delta_misses:
-            metrics.inc("model_cache.misses", delta_misses)
-            self._flushed_misses = self.misses
 
     def clear(self) -> None:
         """Drop all memoized values and pinned profiles.
@@ -230,7 +213,7 @@ class IntervalModel:
         enable_bus: bool = True,
         cache: Optional[ModelCache] = None,
     ) -> None:
-        if mlp_model not in ("stride", "cold", "none"):
+        if mlp_model not in MLP_MODELS:
             raise ValueError("mlp_model must be 'stride', 'cold' or 'none'")
         self.entropy_model = entropy_model or DEFAULT_ENTROPY_MODEL
         self.mlp_model = mlp_model

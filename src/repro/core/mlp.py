@@ -180,7 +180,6 @@ def build_virtual_stream(
     config: MachineConfig,
     line_size: int = 64,
     deff: float = 4.0,
-    target_misses: Optional[float] = None,
     load_reuse_by_pc: Optional[Dict[int, Dict[int, int]]] = None,
     cold_by_pc: Optional[Dict[int, int]] = None,
 ) -> VirtualStream:
@@ -190,11 +189,6 @@ def build_virtual_stream(
     load's miss probability accumulates over its new-line occurrences and
     emits a miss every time the accumulator crosses 1 -- preserving both
     the expected miss count and the recurrence structure (burstiness).
-
-    ``target_misses`` (when given) rescales per-load miss probabilities so
-    the stream's expected miss count matches the micro-trace's attributed
-    StatStack estimate -- per-static-load probabilities alone blend in the
-    global miss ratio and can misplace phase-local behaviour.
 
     When ``config.prefetch`` is set, prefetchable occurrences (strided,
     stride within a DRAM page, trainer still in the prefetch table) have
@@ -237,18 +231,6 @@ def build_virtual_stream(
                 load, statstack, llc_bytes
             )
         per_load_category[pc] = classify_strides(load)
-
-    if target_misses is not None:
-        expected = sum(
-            per_load_prob[pc] * memory.static_loads[pc].occurrences
-            for pc in memory.static_loads
-        )
-        if expected > 0.0:
-            factor = target_misses / expected
-            per_load_prob = {
-                pc: min(1.0, p * factor)
-                for pc, p in per_load_prob.items()
-            }
 
     occurrence_index: Dict[int, int] = {pc: 0 for pc in memory.static_loads}
     accumulator: Dict[int, float] = {pc: 0.5 for pc in memory.static_loads}

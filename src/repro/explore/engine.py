@@ -35,15 +35,7 @@ dependency keys, and batches are streamed back in submission order.
 
 from __future__ import annotations
 
-from typing import (
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.interval import ModelCache
@@ -61,16 +53,15 @@ def _sweep_batch(state, task: Tuple[int, int, int]) -> List[ModelResult]:
     carries the sweep's cache; a model shipped to a worker arrives with
     an empty cache of its own (a :class:`~repro.core.interval.ModelCache`
     pickles empty), which the worker keeps warm for the rest of the
-    sweep.  The cache's hit/miss deltas are flushed into the active
-    metrics registry after each batch -- a worker's ride back to the
-    parent piggybacked on the batch's result.
+    sweep.  The cache counts its hits and misses into the active
+    metrics registry as they happen -- in a worker, the task's
+    registry, which rides back to the parent piggybacked on the
+    batch's result.
     """
     model, profiles, configs = state
     profile_index, start, stop = task
-    results = model.predict_batch(profiles[profile_index],
-                                  configs[start:stop])
-    model.cache.flush_metrics(obs.metrics())
-    return results
+    return model.predict_batch(profiles[profile_index],
+                               configs[start:stop])
 
 
 class SweepEngine:
@@ -102,9 +93,6 @@ class SweepEngine:
         :class:`~repro.api.session.Session`) instead of a transient
         one per sweep; results are bitwise identical.  The pool is
         never closed by the engine.
-    progress:
-        Optional ``progress(done, total)`` callback invoked after every
-        design point.
 
     Examples
     --------
@@ -120,13 +108,11 @@ class SweepEngine:
         workers: Optional[int] = 1,
         batch_size: Optional[int] = None,
         pool=None,
-        progress: Optional[Callable[[int, int], None]] = None,
     ) -> None:
         self.model = model if model is not None else AnalyticalModel()
         self.workers = workers
         self.batch_size = batch_size
         self.pool = pool
-        self.progress = progress
 
     # ------------------------------------------------------------------
 
@@ -185,8 +171,6 @@ class SweepEngine:
                                 (self.model, profiles, configs),
                                 tasks, workers, self.pool)
             metrics = obs.metrics()
-            total = len(profiles) * len(configs)
-            done = 0
             try:
                 for (profile_index, start, _), results in zip(tasks,
                                                               batches):
@@ -194,9 +178,6 @@ class SweepEngine:
                     metrics.inc("engine.points", len(results))
                     name = profiles[profile_index].name
                     for offset, result in enumerate(results):
-                        done += 1
-                        if self.progress is not None:
-                            self.progress(done, total)
                         yield DesignPoint(
                             workload=name,
                             config=configs[start + offset],

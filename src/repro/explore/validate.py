@@ -33,7 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from typing import (
-    Callable,
+    Any,
     Dict,
     Iterator,
     List,
@@ -66,6 +66,7 @@ __all__ = [
     "WorkloadValidation",
     "ValidationReport",
     "ValidationCampaign",
+    "report_lines",
     "STACK_COMPONENT_MAP",
 ]
 
@@ -169,9 +170,6 @@ class SimulationSweep:
         :class:`~repro.api.session.Session`) instead of a transient
         one per sweep; results are bitwise identical and the pool is
         never closed by the sweep.
-    progress:
-        Optional ``progress(done, total)`` callback invoked after every
-        simulated point.
 
     Examples
     --------
@@ -185,12 +183,10 @@ class SimulationSweep:
         workers: Optional[int] = 1,
         batch_size: Optional[int] = None,
         pool=None,
-        progress: Optional[Callable[[int, int], None]] = None,
     ) -> None:
         self.workers = workers
         self.batch_size = batch_size
         self.pool = pool
-        self.progress = progress
 
     def iter_sweep(
         self,
@@ -223,8 +219,6 @@ class SimulationSweep:
             batches = iter_grid(_simulate_batch, (traces, configs),
                                 tasks, workers, self.pool)
             metrics = obs.metrics()
-            total = len(traces) * len(configs)
-            done = 0
             try:
                 for (trace_index, start, stop), results in zip(tasks,
                                                                batches):
@@ -240,9 +234,6 @@ class SimulationSweep:
                     )
                     for config, result, power, joules in zip(
                             chunk, results, breakdowns, energy):
-                        done += 1
-                        if self.progress is not None:
-                            self.progress(done, total)
                         yield SimulatedPoint(
                             workload=name, config=config, result=result,
                             power=power, energy_joules=joules,
@@ -298,24 +289,52 @@ def _metrics_dict(metrics: ParetoMetrics) -> Dict[str, float]:
     }
 
 
-def _stats_from_dict(data: Dict[str, float]) -> ErrorStats:
-    """Rebuild an :class:`ErrorStats` summary from :func:`_stats_dict`
-    output (the per-item detail is not serialized)."""
-    return ErrorStats(
-        mean=data["mean"], maximum=data["max"], count=data["count"]
-    )
+def report_lines(report: Dict[str, Any]) -> List[str]:
+    """The human-readable report of a :meth:`ValidationReport.as_dict`
+    payload, one line per list entry.
 
-
-def _metrics_from_dict(data: Dict[str, float]) -> ParetoMetrics:
-    """Rebuild a :class:`ParetoMetrics` from :func:`_metrics_dict`."""
-    return ParetoMetrics(
-        sensitivity=data["sensitivity"],
-        specificity=data["specificity"],
-        accuracy=data["accuracy"],
-        hvr=data["hvr"],
-        true_front_size=data["true_front_size"],
-        predicted_front_size=data["predicted_front_size"],
-    )
+    Works on the payload so a :class:`~repro.api.session.Session`
+    result renders without rebuilding the report objects.
+    """
+    lines = [
+        f"validation campaign: {len(report['workloads'])} workload(s) x "
+        f"{report['n_configs']} configs ({report['space']})",
+    ]
+    for w in report["workloads"]:
+        cpi, seconds, power = (w["cpi_error"], w["seconds_error"],
+                               w["power_error"])
+        m = w["pareto"]
+        lines.append(f"{w['workload']}:")
+        lines.append(
+            f"  error (mean/max): CPI "
+            f"{cpi['mean']:6.1%}/{cpi['max']:6.1%}  "
+            f"time {seconds['mean']:6.1%}/{seconds['max']:6.1%}  "
+            f"power {power['mean']:6.1%}/{power['max']:6.1%}"
+        )
+        stack = "  ".join(
+            f"{key}={value:.3f}"
+            for key, value in w["cpi_stack_error"].items()
+        )
+        lines.append(f"  CPI-stack |error| (CPI): {stack}")
+        lines.append(
+            f"  Pareto (S7.4): sensitivity {m['sensitivity']:.2f}  "
+            f"specificity {m['specificity']:.2f}  "
+            f"accuracy {m['accuracy']:.2f}  HVR {m['hvr']:.3f}  "
+            f"(true front {m['true_front_size']}, "
+            f"predicted {m['predicted_front_size']})"
+        )
+        b = w.get("baseline")
+        if b is not None:
+            mechanistic, empirical = b["mechanistic"], b["empirical"]
+            lines.append(
+                f"  S7.5 baseline ({b['train_size']} train / "
+                f"{b['holdout_size']} held out): "
+                f"mechanistic CPI {mechanistic['cpi_error']['mean']:.1%} "
+                f"HVR {mechanistic['pareto']['hvr']:.3f}  vs  "
+                f"empirical CPI {empirical['cpi_error']['mean']:.1%} "
+                f"HVR {empirical['pareto']['hvr']:.3f}"
+            )
+    return lines
 
 
 @dataclass
@@ -350,23 +369,6 @@ class BaselineComparison:
             },
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "BaselineComparison":
-        """Rebuild a comparison from :meth:`as_dict` output."""
-        mechanistic = data["mechanistic"]
-        empirical = data["empirical"]
-        return cls(
-            train_size=data["train_size"],
-            holdout_size=data["holdout_size"],
-            mechanistic_cpi_error=_stats_from_dict(
-                mechanistic["cpi_error"]),
-            empirical_cpi_error=_stats_from_dict(
-                empirical["cpi_error"]),
-            mechanistic_metrics=_metrics_from_dict(
-                mechanistic["pareto"]),
-            empirical_metrics=_metrics_from_dict(empirical["pareto"]),
-        )
-
 
 @dataclass
 class WorkloadValidation:
@@ -400,23 +402,6 @@ class WorkloadValidation:
             data["baseline"] = self.baseline.as_dict()
         return data
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "WorkloadValidation":
-        """Rebuild a record from :meth:`as_dict` output."""
-        baseline = data.get("baseline")
-        return cls(
-            workload=data["workload"],
-            n_configs=data["n_configs"],
-            instructions=data["instructions"],
-            cpi_error=_stats_from_dict(data["cpi_error"]),
-            seconds_error=_stats_from_dict(data["seconds_error"]),
-            power_error=_stats_from_dict(data["power_error"]),
-            stack_error=dict(data["cpi_stack_error"]),
-            metrics=_metrics_from_dict(data["pareto"]),
-            baseline=(BaselineComparison.from_dict(baseline)
-                      if baseline is not None else None),
-        )
-
 
 @dataclass
 class ValidationReport:
@@ -442,66 +427,9 @@ class ValidationReport:
             "workloads": [w.as_dict() for w in self.workloads],
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ValidationReport":
-        """Rebuild a report from :meth:`as_dict` output.
-
-        Lossless for everything :meth:`summary_lines` consumes (only
-        the non-serialized per-design error detail is absent), so a
-        report payload can be re-rendered anywhere -- this is what the
-        CLI does with :class:`~repro.api.session.Session` payloads.
-        """
-        return cls(
-            space_name=data["space"],
-            n_configs=data["n_configs"],
-            model_workers=data["model_workers"],
-            sim_workers=data["sim_workers"],
-            train_fraction=data["train_fraction"],
-            seed=data["seed"],
-            workloads=[WorkloadValidation.from_dict(w)
-                       for w in data["workloads"]],
-        )
-
     def summary_lines(self) -> List[str]:
-        """The human-readable report, one line per list entry."""
-        lines = [
-            f"validation campaign: {len(self.workloads)} workload(s) x "
-            f"{self.n_configs} configs ({self.space_name})",
-        ]
-        for w in self.workloads:
-            m = w.metrics
-            lines.append(f"{w.workload}:")
-            lines.append(
-                f"  error (mean/max): CPI "
-                f"{w.cpi_error.mean:6.1%}/{w.cpi_error.maximum:6.1%}  "
-                f"time {w.seconds_error.mean:6.1%}/"
-                f"{w.seconds_error.maximum:6.1%}  "
-                f"power {w.power_error.mean:6.1%}/"
-                f"{w.power_error.maximum:6.1%}"
-            )
-            stack = "  ".join(
-                f"{key}={value:.3f}"
-                for key, value in w.stack_error.items()
-            )
-            lines.append(f"  CPI-stack |error| (CPI): {stack}")
-            lines.append(
-                f"  Pareto (S7.4): sensitivity {m.sensitivity:.2f}  "
-                f"specificity {m.specificity:.2f}  "
-                f"accuracy {m.accuracy:.2f}  HVR {m.hvr:.3f}  "
-                f"(true front {m.true_front_size}, "
-                f"predicted {m.predicted_front_size})"
-            )
-            if w.baseline is not None:
-                b = w.baseline
-                lines.append(
-                    f"  S7.5 baseline ({b.train_size} train / "
-                    f"{b.holdout_size} held out): "
-                    f"mechanistic CPI {b.mechanistic_cpi_error.mean:.1%} "
-                    f"HVR {b.mechanistic_metrics.hvr:.3f}  vs  "
-                    f"empirical CPI {b.empirical_cpi_error.mean:.1%} "
-                    f"HVR {b.empirical_metrics.hvr:.3f}"
-                )
-        return lines
+        """The human-readable report (see :func:`report_lines`)."""
+        return report_lines(self.as_dict())
 
 
 def _stack_error(
@@ -572,9 +500,6 @@ class ValidationCampaign:
     space_name:
         Override for the reported space name (useful when passing a
         truncated config list derived from a named space).
-    progress:
-        Optional ``progress(side, done, total)`` callback, where
-        ``side`` is ``"model"`` or ``"simulator"``.
 
     Examples
     --------
@@ -598,7 +523,6 @@ class ValidationCampaign:
         train_fraction: float = 0.25,
         seed: int = 0,
         space_name: Optional[str] = None,
-        progress: Optional[Callable[[str, int, int], None]] = None,
     ) -> None:
         self.cases = list(cases)
         names = [case.profile.name for case in self.cases]
@@ -622,22 +546,15 @@ class ValidationCampaign:
             raise ValueError("train_fraction must be in [0, 1)")
         self.train_fraction = train_fraction
         self.seed = seed
-        self.progress = progress
-        model_progress = None
-        sim_progress = None
-        if progress is not None:
-            model_progress = lambda d, t: progress("model", d, t)
-            sim_progress = lambda d, t: progress("simulator", d, t)
         self.engine = engine if engine is not None else SweepEngine(
             model=model, workers=model_workers,
             batch_size=batch_size, pool=pool,
-            progress=model_progress,
         )
         self.simulation = SimulationSweep(
             workers=sim_workers if sim_workers is not None
             else model_workers,
             batch_size=batch_size,
-            pool=pool, progress=sim_progress,
+            pool=pool,
         )
 
     @classmethod

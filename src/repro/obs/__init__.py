@@ -22,6 +22,8 @@ Instrumentation lives in the request path itself --
 ``WorkerPool`` dispatch, ``ModelCache`` / ``ProfileStore`` /
 ``RunStore`` hit-miss-corrupt accounting -- and costs nothing
 measurable when disabled (gated <2% by ``benchmarks/bench_obs.py``).
+Every counter event is recorded into the active registry on the line
+that counts it, so nothing is ever buffered or flushed later.
 """
 
 from repro.obs.metrics import (

@@ -225,12 +225,6 @@ class MetricsRegistry:
             "histograms": histograms,
         }
 
-    def clear(self) -> None:
-        """Drop every recorded metric (used for per-task worker deltas)."""
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
-
 
 class NullMetrics:
     """The do-nothing registry installed while telemetry is disabled.
@@ -241,7 +235,7 @@ class NullMetrics:
     singleton rather than constructing new instances.
     """
 
-    #: Tells call sites that recording is off (skip delta bookkeeping).
+    #: Tells call sites that recording is off (skip snapshot work).
     enabled = False
 
     __slots__ = ()
@@ -269,9 +263,6 @@ class NullMetrics:
     def diff(self, baseline: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
         """An empty delta."""
         return {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def clear(self) -> None:
-        """Nothing to drop."""
 
 
 #: The shared no-op registry (the default everywhere).

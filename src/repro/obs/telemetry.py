@@ -99,10 +99,6 @@ class Telemetry:
         """A span on this telemetry's tracer (context manager)."""
         return self.tracer.span(name, **args)
 
-    def activate(self) -> "Iterator[Telemetry]":
-        """Install as the active telemetry for a ``with`` block."""
-        return activate(self)
-
     def summary(self) -> Dict[str, Any]:
         """Aggregated spans + metrics snapshot (``--metrics`` output)."""
         return {

@@ -141,22 +141,6 @@ class Tracer:
         """A new recording span (use as a context manager)."""
         return Span(name, args or None, self.clock, tracer=self)
 
-    def instant(self, name: str, **args: Any) -> None:
-        """Record one ``ph: "i"`` instant event at the current time."""
-        event: Dict[str, Any] = {
-            "name": name,
-            "cat": TRACE_CATEGORY,
-            "ph": "i",
-            "ts": (self.clock() - self._origin) * 1e6,
-            "pid": os.getpid(),
-            "tid": 0,
-            "s": "p",
-            "depth": self._depth,
-        }
-        if args:
-            event["args"] = args
-        self.events.append(event)
-
     def _record(self, span: Span) -> None:
         """Append one completed span as a ``ph: "X"`` event."""
         event: Dict[str, Any] = {
@@ -238,9 +222,6 @@ class NullTracer:
     def span(self, name: str, **args: Any) -> Span:
         """A timed-but-unrecorded span (use as a context manager)."""
         return Span(name, None, time.perf_counter, tracer=None)
-
-    def instant(self, name: str, **args: Any) -> None:
-        """Discard an instant event."""
 
     def export(self, file: Union[str, IO[str]],
                metrics: Optional[Any] = None) -> None:

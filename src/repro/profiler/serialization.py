@@ -19,6 +19,7 @@ import os
 from collections import Counter
 from typing import Any, Dict, IO, Union
 
+from repro import obs
 from repro.faults.atomic import atomic_write
 from repro.frontend.entropy import BranchEntropyProfile
 from repro.profiler.dependences import ChainProfile, DependenceChains
@@ -373,17 +374,15 @@ class ProfileStore:
     root:
         Directory for the store; created on first use.
 
-    Accounting: :attr:`profiles_stored` counts new entries
-    unconditionally (a plain integer add), and :meth:`flush_metrics`
-    publishes the delta since the previous flush as
-    ``profile_store.profiles_stored``.
+    Accounting: each new entry adds one to :attr:`profiles_stored`
+    (a lifetime plain int) and to ``profile_store.profiles_stored`` in
+    the active metrics registry (a no-op while telemetry is off).
     """
 
     def __init__(self, root: str) -> None:
         self.root = root
         #: Lifetime profile writes that created a new store entry.
         self.profiles_stored = 0
-        self._flushed = 0
 
     def profile_path(self, key: str) -> str:
         """Path of the stored profile JSON for ``key``."""
@@ -397,6 +396,7 @@ class ProfileStore:
             with atomic_write(path) as handle:
                 save_profile(profile, handle)
             self.profiles_stored += 1
+            obs.metrics().inc("profile_store.profiles_stored")
         return key
 
     def get(self, key: str) -> ApplicationProfile:
@@ -405,18 +405,3 @@ class ProfileStore:
 
     def __contains__(self, key: str) -> bool:
         return os.path.exists(self.profile_path(key))
-
-    def flush_metrics(self, metrics) -> None:
-        """Publish new store entries counted since the last flush.
-
-        Increments ``profile_store.profiles_stored`` on ``metrics`` by
-        the delta since the previous flush (repeated flushing never
-        double-counts).  Flushing into a disabled registry is a no-op
-        that keeps the delta pending.
-        """
-        if not metrics.enabled:
-            return
-        delta = self.profiles_stored - self._flushed
-        if delta:
-            metrics.inc("profile_store.profiles_stored", delta)
-            self._flushed = self.profiles_stored

@@ -45,7 +45,10 @@ class InflightTable:
 
     The plain-int counters ``leaders`` / ``followers`` account every
     admission: ``leaders`` computations actually started,
-    ``followers`` were answered by an already-running one.
+    ``followers`` were answered by an already-running one.  Admission
+    happens when :meth:`run` is called, not when its result is
+    awaited, so ``key in table`` just before the call tells which role
+    the call takes.
     """
 
     def __init__(self) -> None:
@@ -56,6 +59,10 @@ class InflightTable:
     def __len__(self) -> int:
         """Number of computations currently in flight."""
         return len(self._inflight)
+
+    def __contains__(self, key: str) -> bool:
+        """Whether a computation for ``key`` is in flight."""
+        return key in self._inflight
 
     def _finish(self, key: str, task: asyncio.Task) -> None:
         """Drop a finished task from the table and mark it observed.
@@ -69,17 +76,18 @@ class InflightTable:
         if not task.cancelled():
             task.exception()
 
-    async def run(
+    def run(
         self,
         key: str,
         compute: Callable[[], Awaitable[Any]],
-    ) -> Any:
-        """Await the computation for ``key``, starting it if absent.
+    ) -> "asyncio.Future":
+        """Join the computation for ``key``, starting it if absent.
 
         ``compute`` is only called when no computation for ``key`` is
-        in flight; either way the caller awaits the shared task through
-        a shield, so cancelling this coroutine (client disconnect)
-        never cancels the shared computation.
+        in flight.  Either way the caller gets the shared task behind a
+        shield to await, so cancelling that wait (client disconnect)
+        never cancels the shared computation.  Must be called on the
+        running event loop.
         """
         task = self._inflight.get(key)
         if task is None:
@@ -91,4 +99,4 @@ class InflightTable:
             self._inflight[key] = task
         else:
             self.followers += 1
-        return await asyncio.shield(task)
+        return asyncio.shield(task)

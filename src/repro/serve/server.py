@@ -125,7 +125,6 @@ class ExperimentServer:
         self.computations = 0
         self._active = 0
         self._draining = False
-        self._flushed: Dict[str, int] = {}
         self._server: Optional[asyncio.AbstractServer] = None
         self._shutdown: Optional[asyncio.Event] = None
         self._handlers: Set["asyncio.Task"] = set()
@@ -223,20 +222,14 @@ class ExperimentServer:
             }
         return payload
 
-    def flush_metrics(self) -> None:
-        """Publish ``serve.*`` counter deltas into the session metrics."""
-        metrics = self.session.telemetry.metrics
-        if not metrics.enabled:
-            return
-        values = {name: getattr(self, name)
-                  for name in _SERVER_COUNTERS}
-        values["dedup_leaders"] = self.inflight.leaders
-        values["dedup_followers"] = self.inflight.followers
-        for name, value in values.items():
-            delta = value - self._flushed.get(name, 0)
-            if delta:
-                metrics.inc(f"serve.{name}", delta)
-                self._flushed[name] = value
+    def _count(self, name: str) -> None:
+        """Count one event on its plain int and as ``serve.<name>``.
+
+        The metric goes to the session telemetry's registry directly:
+        the event-loop thread never activates a telemetry.
+        """
+        setattr(self, name, getattr(self, name) + 1)
+        self.session.telemetry.metrics.inc(f"serve.{name}")
 
     # -- connection handling -------------------------------------------
 
@@ -254,12 +247,11 @@ class ExperimentServer:
                     del self._idle[handler]
                 if request is None:
                     break
-                self.requests += 1
+                self._count("requests")
                 with self.session.telemetry.span(
                         "serve.request", method=request.method,
                         path=request.path):
                     keep = await self._dispatch(request, writer)
-                self.flush_metrics()
                 if not keep or not request.keep_alive():
                     break
         except ProtocolError as exc:
@@ -267,9 +259,9 @@ class ExperimentServer:
                 await write_json(writer, exc.status,
                                  {"error": str(exc)})
             except (ConnectionError, OSError):
-                self.disconnects += 1
+                self._count("disconnects")
         except (ConnectionError, OSError):
-            self.disconnects += 1
+            self._count("disconnects")
         finally:
             writer.close()
             try:
@@ -299,7 +291,6 @@ class ExperimentServer:
                 return await self._method_not_allowed(writer)
             metrics = self.session.telemetry.metrics
             if metrics.enabled:
-                self.flush_metrics()
                 payload: Dict[str, Any] = {"enabled": True,
                                            **metrics.snapshot()}
             else:
@@ -334,11 +325,11 @@ class ExperimentServer:
         clause, and the connection closes.
         """
         if self._draining:
-            self.shed += 1
+            self._count("shed")
             await write_json(writer, 503, {"error": "server draining"})
             return False
         if self._active >= self.max_queue:
-            self.shed += 1
+            self._count("shed")
             await write_json(
                 writer, 503,
                 {"error": f"overloaded ({self._active} in flight)"})
@@ -354,14 +345,14 @@ class ExperimentServer:
             await write_json(writer, status, {"error": message})
             return True
         except asyncio.TimeoutError:
-            self.timeouts += 1
+            self._count("timeouts")
             await write_json(
                 writer, 504,
                 {"error": "request deadline exceeded (the computation "
                           "continues and will warm the store)"})
             return True
         except (ConnectionError, OSError):
-            self.disconnects += 1
+            self._count("disconnects")
             return False
         except Exception as exc:  # noqa: BLE001 -- service boundary
             logger.warning("request failed", exc_info=exc)
@@ -373,7 +364,7 @@ class ExperimentServer:
 
     def _failure(self, exc: BaseException) -> Tuple[int, str]:
         """Count one failed request; its HTTP status and message."""
-        self.errors += 1
+        self._count("errors")
         if isinstance(exc, SpecError):
             return 400, str(exc)
         return 500, f"{type(exc).__name__}: {exc}"
@@ -416,7 +407,7 @@ class ExperimentServer:
         cached = await loop.run_in_executor(
             self.executor, self.session.lookup, spec)
         if cached is not None:
-            self.store_hits += 1
+            self._count("store_hits")
             return cached
         key = await loop.run_in_executor(
             self.executor, Session.run_key, spec)
@@ -439,8 +430,12 @@ class ExperimentServer:
                 self.computations += 1
             return result
 
-        return await asyncio.wait_for(self.inflight.run(key, compute),
-                                      timeout)
+        # Admission: no await between the membership test and the
+        # table call, so the metric names the role the table assigns.
+        role = "followers" if key in self.inflight else "leaders"
+        waiter = self.inflight.run(key, compute)
+        self.session.telemetry.metrics.inc(f"serve.dedup_{role}")
+        return await asyncio.wait_for(waiter, timeout)
 
     async def _stream(self, spec: ExperimentSpec,
                       writer: asyncio.StreamWriter) -> bool:
@@ -464,7 +459,7 @@ class ExperimentServer:
                 task.exception()  # observed here; re-raised below
             events.put_nowait(None)
 
-        self.streams += 1
+        self._count("streams")
         waiter = loop.create_task(self._result(spec, None, on_point))
         waiter.add_done_callback(finished)
         try:

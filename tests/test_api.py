@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -127,6 +128,55 @@ class TestExperimentSpec:
                    ("workloads", "workload")]
         with pytest.raises(SpecError, match=f"'{name}' must be a number"):
             ExperimentSpec.from_dict({"kind": kind, "params": params})
+
+    @pytest.mark.parametrize("kind, params, message", [
+        ("sweep", {"workloads": ["gcc"], "limit": 2.5},
+         "'limit' must be a number (an integer)"),
+        ("predict", {"workload": "gcc", "frequency": "2"},
+         "'frequency' must be a number"),
+        ("predict", {"profile": 3}, "'profile' must be a string"),
+        ("sweep", {"workloads": ["gcc"], "space": 7},
+         "'space' must be a string"),
+        ("predict", {"workload": "gcc", "prefetch": "yes"},
+         "'prefetch' must be true or false"),
+        ("sweep", {"workloads": ["gcc", 4]},
+         "'workloads' must be a list of strings"),
+        ("dvfs", {"workload": "gcc", "frequencies": [2.0, "3"]},
+         "'frequencies' must be a list of numbers"),
+        ("predict", {"workload": "gcc", "mlp_model": 3},
+         "'mlp_model' must be a string"),
+        ("predict", {"workload": "gcc", "mlp_model": "burst"},
+         "unknown mlp_model 'burst'"),
+        ("validate", {"workloads": None}, "requires 'workloads'"),
+        ("profile", {"workloads": None}, "requires 'workloads'"),
+    ])
+    def test_every_parameter_type_is_checked(self, kind, params,
+                                             message):
+        with pytest.raises(SpecError, match=re.escape(message)):
+            ExperimentSpec.from_dict({"kind": kind, "params": params})
+
+    def test_lists_normalize_and_keep_fingerprints(self):
+        spec = ExperimentSpec("dvfs", workload="gcc",
+                              frequencies=(2, 2.66))
+        assert spec.params["frequencies"] == [2.0, 2.66]
+        assert spec.fingerprint == ExperimentSpec(
+            "dvfs", workload="gcc", frequencies=[2.0, 2.66]).fingerprint
+        assert ExperimentSpec("sweep", workloads=("gcc",)).params[
+            "workloads"] == ["gcc"]
+
+    def test_example_specs_keep_their_fingerprints(self):
+        root = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "examples", "specs")
+        fingerprints = {
+            name: ExperimentSpec.load(os.path.join(root, name)).fingerprint
+            for name in sorted(os.listdir(root))
+        }
+        assert fingerprints == {
+            "smoke_sweep.json": "c0f73b0ce7252b8730761a2bb239ee84"
+                                "94dc15422ad8269b21c89360ecdf3c31",
+            "smoke_validate.json": "3816030899ccdf7acd681f96f0302bd3"
+                                   "c1e8e33c7eda695a7cf2915a96dcd0aa",
+        }
 
     def test_valid_numbers_are_not_coerced(self):
         spec = ExperimentSpec("validate", workloads=["gcc"], limit=None,
@@ -313,6 +363,33 @@ class TestRunStore:
             rerun = session.run(spec)
         assert rerun.cached is False
         assert rerun.data != first.data
+
+    def test_overwritten_profile_file_is_read_afresh(self, tmp_path,
+                                                     gcc_profile,
+                                                     mcf_profile):
+        """The session caches profile files by content: a file
+        overwritten mid-session is parsed again, so the result stored
+        under the new content's key is computed from that content."""
+        from repro.profiler.serialization import save_profile
+
+        path = str(tmp_path / "app.profile")
+        spec = ExperimentSpec("predict", profile=path)
+        runs = str(tmp_path / "runs")
+        save_profile(gcc_profile, path)
+        with Session(run_store=runs) as session:
+            gcc = session.run(spec)
+            save_profile(mcf_profile, path)
+            mcf = session.run(spec)
+        assert (gcc.data["workload"], mcf.data["workload"]) == (
+            "gcc", "mcf")
+        assert mcf.cached is False
+        with Session() as fresh:
+            expected = fresh.run(spec).data
+        assert mcf.data == expected
+        with Session(run_store=runs) as later:
+            served = later.run(spec)
+        assert served.cached is True
+        assert served.data == expected
 
     def test_profile_runs_always_execute(self, tmp_path):
         spec = ExperimentSpec("profile", workloads=["gcc"],

@@ -362,3 +362,18 @@ class TestParser:
         with pytest.raises(KeyError):
             main(["profile", "doom", "-o",
                   str(tmp_path / "x.profile")])
+
+    @pytest.mark.parametrize("argv", [
+        ["predict", "{missing}"],
+        ["sweep", "{missing}"],
+        ["search", "{missing}"],
+        ["dvfs", "{missing}"],
+        ["validate", "gcc", "--space", "{missing}"],
+    ])
+    def test_missing_input_file_is_an_error_line(self, tmp_path, argv,
+                                                 capsys):
+        missing = str(tmp_path / "missing.json")
+        assert main([arg.format(missing=missing) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert missing in err

@@ -65,16 +65,6 @@ class TestSweepEngine:
         assert first.cpi > 0
         stream.close()  # abandoning mid-sweep must not hang or leak
 
-    def test_progress_callback(self, gcc_profile):
-        configs = design_space({"dispatch_width": (2, 4)})
-        seen = []
-        engine = SweepEngine(
-            workers=1, progress=lambda done, total: seen.append(
-                (done, total))
-        )
-        engine.sweep([gcc_profile], configs)
-        assert seen == [(1, 2), (2, 2)]
-
     def test_batch_partitioning_covers_grid(self):
         # batch_size=None takes the default chunk, a quarter of the
         # per-worker share: ceil(10 / (3 * 4)) = 1 config per task.

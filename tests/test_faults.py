@@ -351,19 +351,32 @@ class TestSupervisedPool:
         assert pool.worker_crashes == 3
         assert pool.give_ups == 1
 
-    def test_flush_metrics_publishes_deltas_once(self):
-        pool = WorkerPool(1)
-        pool.retries = 3
-        pool.restarts = 1
-        registry = obs.Telemetry(trace=False, metrics=True).metrics
-        pool.flush_metrics(registry)
-        pool.flush_metrics(registry)  # no double counting
-        counters = registry.snapshot()["counters"]
-        assert counters["pool.retries"] == 3
-        assert counters["pool.restarts"] == 1
-        pool.retries = 5
-        pool.flush_metrics(registry)
-        assert registry.snapshot()["counters"]["pool.retries"] == 5
+    @needs_mp
+    def test_flush_metrics_publishes_deltas_once(self, monkeypatch):
+        # Every supervision event counts once, on its plain int and in
+        # the registry active as it happens; a second stage adds to
+        # both alike -- nothing is left to flush.  One task per stage
+        # keeps each pool restart free of other in-flight work.
+        _activate_env(monkeypatch, "crash:1.0")
+        retry = RetryPolicy(max_attempts=2, timeout=30,
+                            backoff_base=0.0, backoff_max=0.0)
+        telemetry = obs.Telemetry(trace=False, metrics=True)
+        names = ("retries", "timeouts", "restarts", "worker_crashes",
+                 "give_ups")
+        with WorkerPool(2, retry=retry) as pool:
+            with obs.activate(telemetry):
+                for stage in (1, 2):
+                    pool.revive()
+                    with pytest.raises(WorkerPoolError):
+                        list(pool.imap(_scale, 3, [1]))
+                    counters = telemetry.metrics.snapshot()["counters"]
+                    assert ({name: counters.get(f"pool.{name}", 0)
+                             for name in names}
+                            == {name: getattr(pool, name)
+                                for name in names})
+                    assert pool.give_ups == stage
+        assert (pool.worker_crashes, pool.retries, pool.restarts,
+                pool.timeouts) == (4, 2, 2, 0)
 
 
 # ----------------------------------------------------------------------

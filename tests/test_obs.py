@@ -6,8 +6,9 @@ Pins the telemetry contract from three directions:
   export/read round-trip, MetricsRegistry snapshot/merge/diff and the
   null twins' no-op guarantees;
 * accounting -- RunStore/ProfileStore corrupt-entry counters with
-  their logged warnings, and the flush-delta protocol (including the
-  disabled-registry guard that keeps deltas pending);
+  their logged warnings, and counting at the event: each event adds
+  one to its plain int and to the registry active at that moment
+  (none when telemetry is off -- nothing is published later);
 * integration -- telemetry on vs off must leave results, DesignPoint
   streams, cache states, fingerprints and stored bytes bitwise
   identical at every worker count, while the attached telemetry block
@@ -268,7 +269,7 @@ class TestTelemetryActivation:
 
 
 # ----------------------------------------------------------------------
-# Store accounting: corrupt entries, flush deltas
+# Store accounting: corrupt entries, counting at the event
 # ----------------------------------------------------------------------
 
 
@@ -294,25 +295,19 @@ class TestStoreAccounting:
 
     def test_run_store_flush_publishes_deltas_once(self, tmp_path,
                                                    sweep_spec):
+        # Nothing to flush: each event is counted once, as it happens.
         store = RunStore(str(tmp_path / "runs"))
-        store.get(sweep_spec)  # miss
-        store.put(RunResult(spec=sweep_spec, data={}))
-        registry = MetricsRegistry()
-        store.flush_metrics(registry)
-        assert registry.snapshot()["counters"] == {
-            "run_store.misses": 1, "run_store.puts": 1}
-        store.flush_metrics(registry)  # no new activity: no change
-        assert registry.snapshot()["counters"] == {
-            "run_store.misses": 1, "run_store.puts": 1}
-
-    def test_flush_into_disabled_registry_keeps_deltas_pending(
-            self, tmp_path, sweep_spec):
-        store = RunStore(str(tmp_path / "runs"))
-        store.get(sweep_spec)  # miss
-        store.flush_metrics(NULL_METRICS)  # must NOT consume the delta
-        registry = MetricsRegistry()
-        store.flush_metrics(registry)
-        assert registry.snapshot()["counters"] == {"run_store.misses": 1}
+        telemetry = Telemetry(trace=False, metrics=True)
+        with obs.activate(telemetry):
+            store.get(sweep_spec)  # miss
+            store.put(RunResult(spec=sweep_spec, data={}))
+            assert telemetry.metrics.snapshot()["counters"] == {
+                "run_store.misses": 1, "run_store.puts": 1}
+            store.get(sweep_spec)  # hit
+        assert telemetry.metrics.snapshot()["counters"] == {
+            "run_store.hits": 1, "run_store.misses": 1,
+            "run_store.puts": 1}
+        assert (store.hits, store.misses, store.puts) == (1, 1, 1)
 
     def test_profile_store_counts_only_new_puts(self, tmp_path,
                                                 gcc_profile,
@@ -320,28 +315,49 @@ class TestStoreAccounting:
         from repro.profiler.serialization import ProfileStore
 
         store = ProfileStore(str(tmp_path / "profiles"))
-        key = store.put(gcc_profile)
-        assert store.put(gcc_profile) == key  # already stored
-        registry = MetricsRegistry()
-        store.flush_metrics(registry)
-        assert registry.snapshot()["counters"] == {
-            "profile_store.profiles_stored": 1}
-        store.put(gamess_profile)
-        store.put(gcc_profile)
-        store.flush_metrics(registry)
-        assert registry.snapshot()["counters"] == {
+        telemetry = Telemetry(trace=False, metrics=True)
+        with obs.activate(telemetry):
+            key = store.put(gcc_profile)
+            assert store.put(gcc_profile) == key  # already stored
+            assert telemetry.metrics.snapshot()["counters"] == {
+                "profile_store.profiles_stored": 1}
+            store.put(gamess_profile)
+            store.put(gcc_profile)
+        assert telemetry.metrics.snapshot()["counters"] == {
             "profile_store.profiles_stored": 2}
+        assert store.profiles_stored == 2
 
     def test_model_cache_flush(self, gcc_profile, reference_config):
         model = AnalyticalModel(cache=ModelCache())
-        model.predict(gcc_profile, reference_config)
-        model.predict(gcc_profile, reference_config)
+        telemetry = Telemetry(trace=False, metrics=True)
+        with obs.activate(telemetry):
+            model.predict(gcc_profile, reference_config)
+            model.predict(gcc_profile, reference_config)
         assert model.cache.misses > 0 and model.cache.hits > 0
-        registry = MetricsRegistry()
-        model.cache.flush_metrics(registry)
-        counters = registry.snapshot()["counters"]
+        counters = telemetry.metrics.snapshot()["counters"]
         assert counters["model_cache.misses"] == model.cache.misses
         assert counters["model_cache.hits"] == model.cache.hits
+
+    def test_event_without_telemetry_reaches_no_later_registry(
+            self, tmp_path, sweep_spec, gcc_profile, reference_config):
+        # An event counted while no telemetry is active stays on the
+        # plain ints only: a registry activated afterwards never sees
+        # it, because nothing is buffered for a later publish.
+        store = RunStore(str(tmp_path / "runs"))
+        model = AnalyticalModel(cache=ModelCache())
+        store.get(sweep_spec)  # miss, telemetry off
+        model.predict(gcc_profile, reference_config)
+        misses_off, hits_off = model.cache.misses, model.cache.hits
+        telemetry = Telemetry(trace=False, metrics=True)
+        with obs.activate(telemetry):
+            store.get(sweep_spec)  # miss, telemetry on
+            model.predict(gcc_profile, reference_config)
+        assert store.misses == 2
+        counters = telemetry.metrics.snapshot()["counters"]
+        assert counters["run_store.misses"] == 1
+        assert "model_cache.misses" not in counters  # all were warm
+        assert model.cache.misses == misses_off > 0
+        assert counters["model_cache.hits"] == model.cache.hits - hits_off
 
 
 # ----------------------------------------------------------------------

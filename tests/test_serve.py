@@ -605,6 +605,20 @@ class TestErrors:
         assert stats["server"]["streams"] == 0
         assert get_json(HOST, serve.port, "/health")["status"] == "ok"
 
+    def test_descriptor_as_profile_is_a_400_and_service_survives(
+            self, serve):
+        # A non-string profile is a client error before anything opens
+        # it -- here, the number of the server's listening socket.
+        fd = serve.server._server.sockets[0].fileno()
+        spec = {"kind": "predict", "params": {"profile": fd}}
+        with pytest.raises(ServeError) as err:
+            request_run(HOST, serve.port, spec, timeout=60)
+        assert err.value.status == 400
+        assert "'profile'" in str(err.value)
+        stats = get_json(HOST, serve.port, "/stats")
+        assert stats["server"]["errors"] == 1
+        assert get_json(HOST, serve.port, "/health")["status"] == "ok"
+
     def test_duplicate_workloads_are_a_400(self, serve):
         spec = {"kind": "validate",
                 "params": {"workloads": ["gcc", "gcc"], "limit": 2,
@@ -695,6 +709,50 @@ class TestServiceSurface:
             self, serve):
         assert get_json(HOST, serve.port, "/metrics") == {
             "enabled": False}
+
+    def test_metrics_counters_equal_stats(self, tmp_path):
+        # Every count reaches /metrics as it happens, including the
+        # run-store hits of the warm path, which no Session.run sees.
+        from repro.obs import Telemetry
+
+        session = Session(workers=1,
+                          run_store=RunStore(str(tmp_path / "runs")),
+                          telemetry=Telemetry(trace=False, metrics=True))
+        n = 4
+        barrier = threading.Barrier(n)
+
+        def fire():
+            barrier.wait()
+            request_run(HOST, thread.port, SWEEP, timeout=120)
+
+        with ServerThread(session, port=0) as thread:
+            request_run(HOST, thread.port, PREDICT, timeout=120)
+            threads = [threading.Thread(target=fire) for _ in range(n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            for spec in (PREDICT, PREDICT, SWEEP):
+                assert request_run(HOST, thread.port, spec,
+                                   timeout=120)["cached"] is True
+            metrics = get_json(HOST, thread.port, "/metrics")
+            stats = get_json(HOST, thread.port, "/stats")
+        session.close()
+
+        counters = metrics["counters"]
+        store = {name[len("run_store."):]: value
+                 for name, value in counters.items()
+                 if name.startswith("run_store.")}
+        assert store == {name: value
+                         for name, value in stats["store"].items()
+                         if value}
+        assert store["hits"] >= 3
+        assert (counters.get("serve.dedup_leaders", 0),
+                counters.get("serve.dedup_followers", 0)) == (
+            stats["dedup"]["leaders"], stats["dedup"]["followers"])
+        assert stats["dedup"]["leaders"] >= 2
+        assert counters["serve.store_hits"] == stats["server"][
+            "store_hits"]
 
     def test_graceful_drain_finishes_inflight_work(self, tmp_path):
         store = RunStore(str(tmp_path / "runs"))
